@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import NaryAlgebra
-from .tensor import ShapeError, guard
+from .tensor import ShapeError, SizeGuardError, guard
 
 KERNEL_UNKNOWN_CAP = 20_000
 
@@ -169,14 +169,30 @@ def lie_closure(L: NaryAlgebra) -> LieClosure:
     return LieClosure(basis=basis, dim=len(basis), from_generators=from_generators)
 
 
+def _kernel_of_slots(L: NaryAlgebra, lo: int, hi: int):
+    """Right kernel of f read as a map from its slots lo+1..hi to the others.
+
+    Unknowns are the index tuples of slots lo+1..hi in lexicographic order;
+    there is one equation per index tuple of the remaining slots, in sorted
+    order.
+    """
+    d = L.d
+    ncols = d ** (hi - lo)
+    rows: dict = {}
+    for key, val in L.f.data.items():
+        col = 0
+        for i in key[lo:hi]:
+            col = col * d + i - 1
+        rows.setdefault(key[:lo] + key[hi:], [0] * ncols)[col] += val
+    return linalg.nullspace([rows[k] for k in sorted(rows)], ncols)
+
+
 def ad_kernel(L: NaryAlgebra):
     """Kernel of A -> ad_A on the span of basis (n-1)-tuples of indices.
 
     Returns (labels, vectors): labels lists all index tuples in lexicographic
     order and each vector holds the coefficients of one kernel basis element.
     """
-    from .tensor import SizeGuardError
-
     d, n = L.d, L.n
     unknowns = d ** (n - 1)
     if unknowns > KERNEL_UNKNOWN_CAP:
@@ -184,22 +200,9 @@ def ad_kernel(L: NaryAlgebra):
             f"ad_kernel: {unknowns} unknowns exceed cap {KERNEL_UNKNOWN_CAP}"
         )
     labels = list(itertools.product(range(1, d + 1), repeat=n - 1))
-    col = {lab: i for i, lab in enumerate(labels)}
-    rows_by_bc: dict = {}
-    for key, val in L.f.data.items():
-        a, b, c = key[: n - 1], key[n - 1], key[n]
-        row = rows_by_bc.setdefault((b, c), [0] * unknowns)
-        row[col[a]] += val
-    kernel = linalg.nullspace([rows_by_bc[k] for k in sorted(rows_by_bc)], unknowns)
-    return labels, kernel
+    return labels, _kernel_of_slots(L, 0, n - 1)
 
 
 def centre(L: NaryAlgebra):
     """Basis of {y : [x_1, .., x_{n-1}, y] = 0 for all x}, as coordinate vectors."""
-    d, n = L.d, L.n
-    rows_by_ac: dict = {}
-    for key, val in L.f.data.items():
-        a, b, c = key[: n - 1], key[n - 1], key[n]
-        row = rows_by_ac.setdefault((a, c), [0] * d)
-        row[b - 1] += val
-    return linalg.nullspace([rows_by_ac[k] for k in sorted(rows_by_ac)], d)
+    return _kernel_of_slots(L, L.n - 1, L.n)

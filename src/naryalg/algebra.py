@@ -11,11 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import linalg
 from .tensor import (
     RationalTensor,
     ShapeError,
+    _acc,
     antisymmetrize,
     format_rational,
     guard,
@@ -33,10 +35,16 @@ class AlgebraFileError(ValueError):
 
 
 class Metric:
-    """Symmetric non-degenerate bilinear form on Q^d."""
+    """Symmetric non-degenerate bilinear form on Q^d.
+
+    Immutable and hashed by value, so results computed for one metric can be
+    cached under any equal one.
+    """
 
     def __init__(self, entries):
-        self.entries = [[Fraction(x) if not isinstance(x, int) else x for x in row] for row in entries]
+        self.entries = tuple(
+            tuple(Fraction(x) if not isinstance(x, int) else x for x in row) for row in entries
+        )
         self.d = len(self.entries)
         for row in self.entries:
             if len(row) != self.d:
@@ -46,7 +54,7 @@ class Metric:
                 if self.entries[i][j] != self.entries[j][i]:
                     raise ShapeError("metric matrix is not symmetric")
         try:
-            self.inverse = linalg.invert(self.entries) if self.d else []
+            self.inverse = tuple(map(tuple, linalg.invert(self.entries))) if self.d else ()
         except linalg.SingularMatrixError as exc:
             raise ShapeError("metric is singular") from exc
 
@@ -78,11 +86,10 @@ class Metric:
     def __eq__(self, other):
         if not isinstance(other, Metric):
             return NotImplemented
-        return self.d == other.d and all(
-            self.entries[i][j] == other.entries[i][j]
-            for i in range(self.d)
-            for j in range(self.d)
-        )
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
 
     def __repr__(self):
         if self.is_diagonal:
@@ -105,7 +112,7 @@ class CheckReport:
     def as_dict(self) -> dict:
         out = {"name": self.name, "passed": self.passed}
         if self.witness is not None:
-            out["witness"] = list(self.witness)
+            out["witness"] = [i if isinstance(i, int) else format_rational(i) for i in self.witness]
         if self.residual is not None:
             out["residual"] = format_rational(self.residual)
         if self.detail:
@@ -128,7 +135,8 @@ class NaryAlgebra:
         self.n = n
         self.f = f
         self.metric = metric
-        self.flags: dict = {}
+        # False for output built with its preconditions skipped (force=True).
+        self.verified = True
         self._cache: dict = {}
 
     def __eq__(self, other):
@@ -139,7 +147,7 @@ class NaryAlgebra:
             and self.d == other.d
             and self.n == other.n
             and self.f == other.f
-            and _metrics_equal(self.metric, other.metric)
+            and self.metric == other.metric
         )
 
     def __repr__(self):
@@ -156,7 +164,7 @@ class NaryAlgebra:
     def lowered(self, metric: Metric | None = None) -> RationalTensor:
         """Structure constants with the output slot lowered by the metric."""
         metric = self.require_metric(metric)
-        key = ("lowered", id(metric))
+        key = ("lowered", metric)
         if key not in self._cache:
             self._cache[key] = raise_lower(self.f, self.n + 1, metric, "lower")
         return self._cache[key]
@@ -164,27 +172,24 @@ class NaryAlgebra:
     def ad_rows(self) -> dict:
         """Group f by the first n-1 slots: A -> {l: {s: value}}."""
         if "ad_rows" not in self._cache:
-            rows: dict = {}
-            cut = self.n - 1
-            for key, val in self.f.data.items():
-                rows.setdefault(key[:cut], {}).setdefault(key[cut], {})[key[cut + 1]] = val
-            self._cache["ad_rows"] = rows
+            self._cache["ad_rows"] = _group_ad(self.f)
         return self._cache["ad_rows"]
 
-    def input_rows(self) -> dict:
-        """Group f by all n input slots: inputs -> {output: value}."""
-        if "input_rows" not in self._cache:
-            rows: dict = {}
-            for key, val in self.f.data.items():
-                rows.setdefault(key[:-1], {})[key[-1]] = val
-            self._cache["input_rows"] = rows
-        return self._cache["input_rows"]
+
+def _group_ad(t: RationalTensor) -> dict:
+    """Group t by all but its last two slots: A -> {l: {s: value}}."""
+    rows: dict = {}
+    for key, val in t.data.items():
+        rows.setdefault(key[:-2], {}).setdefault(key[-2], {})[key[-1]] = val
+    return rows
 
 
-def _metrics_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return a == b
+def _zero_report(name: str, data: dict, detail: str = "") -> CheckReport:
+    """Passes iff data is empty, else reports its lexicographically first key."""
+    if data:
+        witness = min(data)
+        return CheckReport(name, False, witness, data[witness], detail)
+    return CheckReport(name, True, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -258,60 +263,61 @@ def _matrix_cols(rows: dict) -> dict:
     return cols
 
 
-def _derivation_terms(f: RationalTensor, arity: int, mrows: dict, out: dict, suffix=()):
+def _derivation_terms(f: RationalTensor, arity: int, mrows: dict, out: dict):
     """Accumulate  f_B^l M_l^s - sum_k M_{b_k}^l f_{..l..}^s  into out.
 
-    mrows maps lower index l -> {upper s: value}.  Keys written are
-    B + suffix + (s,).
+    mrows maps lower index l -> {upper s: value}.  Keys written are B + (s,).
     """
     mcols = _matrix_cols(mrows)
     for key, val in f.data.items():
         inputs, l0 = key[:-1], key[-1]
         row = mrows.get(l0)
         if row:
-            head = inputs + suffix
             for s, mv in row.items():
-                _acc_dict(out, head + (s,), val * mv)
+                _acc(out, inputs + (s,), val * mv)
         for k in range(arity):
             col = mcols.get(inputs[k])
             if col:
                 for b, mv in col.items():
-                    new = inputs[:k] + (b,) + inputs[k + 1:] + suffix + (key[-1],)
-                    _acc_dict(out, new, -val * mv)
+                    new = inputs[:k] + (b,) + inputs[k + 1:] + (l0,)
+                    _acc(out, new, -val * mv)
 
 
-def _acc_dict(store: dict, key: tuple, val) -> None:
-    cur = store.get(key)
-    if cur is None:
-        store[key] = val
-    else:
-        cur = cur + val
-        if cur == 0:
-            del store[key]
-        else:
-            store[key] = cur
+def _residual_slice(l1: NaryAlgebra, y: tuple, mrows: dict) -> dict:
+    """Nonzero derivation residual of one ad_y, keyed (a1..an, y.., s)."""
+    # A small per-slice dict with short keys: most slices cancel to nothing.
+    acc: dict = {}
+    _derivation_terms(l1.f, l1.n, mrows, acc)
+    return {key[:-1] + y + (key[-1],): val for key, val in acc.items()}
 
 
-def _fi_work_estimate(L: NaryAlgebra) -> int:
-    return len(L.ad_rows()) * L.f.nnz * (L.n + 1)
+def _derivation_work(l1: NaryAlgebra, l2: NaryAlgebra) -> int:
+    return len(l2.ad_rows()) * l1.f.nnz * (l1.n + 1)
+
+
+def derivation_residual(l1: NaryAlgebra, l2: NaryAlgebra) -> RationalTensor:
+    """Residual of 'ad2 is a derivation of l1'.
+
+    Entry at (a1..an, b1..b_{m-1}, s) is
+    f_{a1..an}^l h_{b1..b_{m-1} l}^s - sum_r h_{b1..b_{m-1} a_r}^l f_{a1.. l ..an}^s.
+    """
+    if l1.d != l2.d:
+        raise ShapeError(f"dimension mismatch {l1.d} != {l2.d}")
+    guard(_derivation_work(l1, l2), "derivation_residual")
+    out: dict = {}
+    for y_tuple, mrows in sorted(l2.ad_rows().items()):
+        out.update(_residual_slice(l1, y_tuple, mrows))
+    return RationalTensor((l1.d,) * (l1.n + l2.n), out)
 
 
 def filippov_residual(L: NaryAlgebra) -> RationalTensor:
-    """Residual tensor of the (left) Filippov identity.
+    """Residual tensor of the (left) Filippov identity: derivation_residual(L, L).
 
     Entry at (b1..bn, a1..a_{n-1}, s) is
     f_{b1..bn}^l f_{a1..a_{n-1} l}^s - sum_k f_{a1..a_{n-1} b_k}^l f_{b1.. l ..bn}^s;
     the algebra satisfies the identity iff this is the zero tensor.
     """
-    guard(_fi_work_estimate(L), f"filippov_residual({L.name})")
-    n, d = L.n, L.d
-    out: dict = {}
-    for a_tuple, mrows in sorted(L.ad_rows().items()):
-        slice_acc: dict = {}
-        _derivation_terms(L.f, n, mrows, slice_acc)
-        for key, val in slice_acc.items():
-            out[key[:-1] + a_tuple + (key[-1],)] = val
-    return RationalTensor((d,) * (2 * n), out)
+    return derivation_residual(L, L)
 
 
 def _adjoint_span_representatives(L: NaryAlgebra):
@@ -330,35 +336,21 @@ def _adjoint_span_representatives(L: NaryAlgebra):
 
 
 def check_filippov(L: NaryAlgebra) -> CheckReport:
-    """Exact FI check; stamps the 'filippov' flag.
+    """Exact FI check.
 
     Small algebras materialize the full residual (witness = lexicographically
     first nonzero residual entry).  Large ones use the equivalent derivation
     check over a spanning set of adjoint matrices: the residual is linear in
     ad_A, so vanishing on a spanning set is vanishing everywhere.
     """
-    if _fi_work_estimate(L) <= FULL_RESIDUAL_WORK_LIMIT:
-        res = filippov_residual(L)
-        if res.data:
-            witness = min(res.data)
-            report = CheckReport("filippov", False, witness, res.data[witness])
-        else:
-            report = CheckReport("filippov", True)
-    else:
-        report = CheckReport("filippov", True, detail="adjoint-span derivation check")
-        for a_tuple, mrows in _adjoint_span_representatives(L):
-            acc: dict = {}
-            _derivation_terms(L.f, L.n, mrows, acc)
-            if acc:
-                key = min(acc)
-                witness = key[:-1] + a_tuple + (key[-1],)
-                report = CheckReport(
-                    "filippov", False, witness, acc[key],
-                    detail="adjoint-span derivation check",
-                )
-                break
-    L.flags["filippov"] = report.passed
-    return report
+    if _derivation_work(L, L) <= FULL_RESIDUAL_WORK_LIMIT:
+        return _zero_report("filippov", filippov_residual(L).data)
+    res: dict = {}
+    for a_tuple, mrows in _adjoint_span_representatives(L):
+        res = _residual_slice(L, a_tuple, mrows)
+        if res:
+            break
+    return _zero_report("filippov", res, "adjoint-span derivation check")
 
 
 def filippov_sampled(L: NaryAlgebra, samples: int = 10_000, seed: int = 12345) -> CheckReport:
@@ -370,19 +362,21 @@ def filippov_sampled(L: NaryAlgebra, samples: int = 10_000, seed: int = 12345) -
     import random
 
     rng = random.Random(seed)
-    rows = L.input_rows()
+    rows = L.ad_rows()
     n, d = L.n, L.d
     for _ in range(samples):
         b = tuple(rng.randint(1, d) for _ in range(n))
         a = tuple(rng.randint(1, d) for _ in range(n - 1))
+        ad_a = rows.get(a, {})
         acc: dict = {}
-        for l, v in rows.get(b, {}).items():
-            for s, w in rows.get(a + (l,), {}).items():
-                _acc_dict(acc, s, v * w)
+        for l, v in rows.get(b[:-1], {}).get(b[-1], {}).items():
+            for s, w in ad_a.get(l, {}).items():
+                _acc(acc, s, v * w)
         for k in range(n):
-            for l, v in rows.get(a + (b[k],), {}).items():
-                for s, w in rows.get(b[:k] + (l,) + b[k + 1:], {}).items():
-                    _acc_dict(acc, s, -v * w)
+            for l, v in ad_a.get(b[k], {}).items():
+                bl = b[:k] + (l,) + b[k + 1:]
+                for s, w in rows.get(bl[:-1], {}).get(bl[-1], {}).items():
+                    _acc(acc, s, -v * w)
         if acc:
             s = min(acc)
             return CheckReport(
@@ -398,31 +392,41 @@ def filippov_sampled(L: NaryAlgebra, samples: int = 10_000, seed: int = 12345) -
 # symmetry / metric property checks
 
 
-def _first_antisymmetry_failure(t: RationalTensor, s1: int, s2: int):
-    """Lex-first nonzero entry with t[key] != -t[swap(key)], or None."""
-    best = None
-    for key in t.data:
-        swapped = list(key)
-        swapped[s1 - 1], swapped[s2 - 1] = swapped[s2 - 1], swapped[s1 - 1]
-        swapped = tuple(swapped)
-        total = t.data[key] + t.data.get(swapped, 0)
-        if total != 0:
-            cand = min(key, swapped) if swapped in t.data else key
-            if best is None or cand < best[0]:
-                best = (cand, total)
-    return best
+def _mismatch_report(t: RationalTensor, name: str, moves, sign: int) -> CheckReport:
+    """Compare t with slot-permuted copies of itself: t[key] == sign * t[moved key].
 
-
-def _skew_report(t: RationalTensor, slots, name: str) -> CheckReport:
-    slots = list(slots)
+    Each move is a 0-based slot-index tuple: the moved key is
+    (key[move[0]], key[move[1]], ...).  A failing report carries the
+    lexicographically least offending key (or its image, when that is also
+    stored) and the residual t[key] - sign * t[moved key]; ties go to the
+    earlier move, then to the earlier key in storage order.
+    """
     best = None
-    for i in range(len(slots) - 1):
-        fail = _first_antisymmetry_failure(t, slots[i], slots[i + 1])
-        if fail and (best is None or fail[0] < best[0]):
-            best = fail
+    data = t.data
+    for move in moves:
+        image = itemgetter(*move)
+        for key, val in data.items():
+            moved = image(key)
+            other = data.get(moved)
+            residual = val if other is None else val - sign * other
+            if residual != 0:
+                cand = key if other is None else min(key, moved)
+                if best is None or cand < best[0]:
+                    best = (cand, residual)
     if best:
         return CheckReport(name, False, best[0], best[1])
     return CheckReport(name, True)
+
+
+def _adjacent_swaps(rank: int, slots) -> list:
+    """Moves exchanging each pair of adjacent listed (1-based) slots."""
+    slots = list(slots)
+    moves = []
+    for a, b in zip(slots, slots[1:]):
+        move = list(range(rank))
+        move[a - 1], move[b - 1] = b - 1, a - 1
+        moves.append(move)
+    return moves
 
 
 def check_skew(L: NaryAlgebra, slots) -> CheckReport:
@@ -430,20 +434,18 @@ def check_skew(L: NaryAlgebra, slots) -> CheckReport:
     slots = list(slots)
     if not slots or slots[0] < 1 or slots[-1] > L.n:
         raise ShapeError(f"slots {slots} not within 1..{L.n}")
-    return _skew_report(L.f, slots, "skew")
+    return _mismatch_report(L.f, "skew", _adjacent_swaps(L.n + 1, slots), -1)
 
 
 def check_metricity(L: NaryAlgebra, metric: Metric | None = None) -> CheckReport:
     """Invariance of the metric: lowered constants antisymmetric in the last two slots."""
-    low = L.lowered(metric)
-    report = _skew_report(low, [L.n, L.n + 1], "metricity")
-    L.flags["metric"] = report.passed
-    return report
+    swap = _adjacent_swaps(L.n + 1, [L.n, L.n + 1])
+    return _mismatch_report(L.lowered(metric), "metricity", swap, -1)
 
 
 def check_full_antisym_lowered(L: NaryAlgebra, metric: Metric | None = None) -> CheckReport:
-    low = L.lowered(metric)
-    return _skew_report(low, range(1, L.n + 2), "fullanti")
+    swaps = _adjacent_swaps(L.n + 1, range(1, L.n + 2))
+    return _mismatch_report(L.lowered(metric), "fullanti", swaps, -1)
 
 
 def check_symmetry_property(L: NaryAlgebra, metric: Metric | None = None) -> CheckReport:
@@ -454,32 +456,18 @@ def check_symmetry_property(L: NaryAlgebra, metric: Metric | None = None) -> Che
     """
     if L.n < 3:
         raise ShapeError("symmetry property needs arity >= 3")
-    low = L.lowered(metric)
-    best = None
-    for key in low.data:
-        swapped = key[:-4] + key[-2:] + key[-4:-2]
-        diff = low.data[key] - low.data.get(swapped, 0)
-        if diff != 0:
-            cand = min(key, swapped) if swapped in low.data else key
-            if best is None or cand < best[0]:
-                best = (cand, diff)
-    if best:
-        return CheckReport("symmetry", False, best[0], best[1])
-    return CheckReport("symmetry", True)
+    r = L.n + 1
+    move = (*range(r - 4), r - 2, r - 1, r - 4, r - 3)
+    return _mismatch_report(L.lowered(metric), "symmetry", [move], 1)
 
 
-def _block_symmetry_report(low: RationalTensor, block: int) -> CheckReport:
-    best = None
-    for key in low.data:
-        swapped = key[block:] + key[:block]
-        diff = low.data[key] - low.data.get(swapped, 0)
-        if diff != 0:
-            cand = min(key, swapped) if swapped in low.data else key
-            if best is None or cand < best[0]:
-                best = (cand, diff)
-    if best:
-        return CheckReport("blocksym", False, best[0], best[1])
-    return CheckReport("blocksym", True)
+def all_of(name: str, reports) -> CheckReport:
+    """Conjunction of sub-checks: passes, or wraps the first failing report."""
+    for rep in reports:
+        if not rep.passed:
+            return CheckReport(name, False, rep.witness, rep.residual,
+                               detail=f"failed {rep.name}")
+    return CheckReport(name, True)
 
 
 def check_generalized_metric_l(L: NaryAlgebra, metric: Metric | None = None) -> CheckReport:
@@ -493,18 +481,14 @@ def check_generalized_metric_l(L: NaryAlgebra, metric: Metric | None = None) -> 
         raise ShapeError(f"generalized metric check needs odd arity >= 3, got {ell}")
     n = (ell + 3) // 2
     metric = L.require_metric(metric)
-    sub = [
+    block_exchange = (*range(n - 1, ell + 1), *range(n - 1))
+    return all_of("genmetric", [
         check_skew(L, range(1, n)),
         check_skew(L, range(n, ell + 1)),
         check_metricity(L, metric),
-        _block_symmetry_report(L.lowered(metric), n - 1),
+        _mismatch_report(L.lowered(metric), "blocksym", [block_exchange], 1),
         check_filippov(L),
-    ]
-    for rep in sub:
-        if not rep.passed:
-            return CheckReport("genmetric", False, rep.witness, rep.residual,
-                               detail=f"failed {rep.name}")
-    return CheckReport("genmetric", True)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +503,7 @@ def cyclic_sum(L: NaryAlgebra) -> RationalTensor:
         inputs, s = key[:-1], key[-1]
         for shift in range(L.n):
             rotated = inputs[shift:] + inputs[:shift]
-            _acc_dict(out, rotated + (s,), val)
+            _acc(out, rotated + (s,), val)
     return RationalTensor(L.f.shape, out)
 
 
@@ -529,39 +513,19 @@ def full_antisymmetrization(L: NaryAlgebra) -> RationalTensor:
 
 
 def check_cyclic(L: NaryAlgebra) -> CheckReport:
-    c = cyclic_sum(L)
-    if c.data:
-        witness = min(c.data)
-        return CheckReport("cyclic", False, witness, c.data[witness])
-    return CheckReport("cyclic", True)
+    return _zero_report("cyclic", cyclic_sum(L).data)
 
 
 def is_lie_triple(L: NaryAlgebra) -> CheckReport:
     """Arity 3, skew in the first two slots, FI, and vanishing cyclic sum."""
     if L.n != 3:
-        report = CheckReport("triple", False, (0,), None, detail=f"arity {L.n} != 3")
-        L.flags["triple"] = False
-        return report
-    for rep in (check_skew(L, [1, 2]), check_filippov(L), check_cyclic(L)):
-        if not rep.passed:
-            report = CheckReport("triple", False, rep.witness, rep.residual,
-                                 detail=f"failed {rep.name}")
-            L.flags["triple"] = False
-            return report
-    L.flags["triple"] = True
-    return CheckReport("triple", True)
+        return CheckReport("triple", False, (0,), None, detail=f"arity {L.n} != 3")
+    return all_of("triple", [check_skew(L, [1, 2]), check_filippov(L), check_cyclic(L)])
 
 
 def is_lie_nple(L: NaryAlgebra) -> CheckReport:
     """Skew in the first n-1 slots, FI, and vanishing cyclic sum."""
-    for rep in (check_skew(L, range(1, L.n)), check_filippov(L), check_cyclic(L)):
-        if not rep.passed:
-            report = CheckReport("nple", False, rep.witness, rep.residual,
-                                 detail=f"failed {rep.name}")
-            L.flags["nple"] = False
-            return report
-    L.flags["nple"] = True
-    return CheckReport("nple", True)
+    return all_of("nple", [check_skew(L, range(1, L.n)), check_filippov(L), check_cyclic(L)])
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +566,35 @@ def to_json_dict(L: NaryAlgebra) -> dict:
     metric = _metric_to_json(L.metric)
     if metric is not None:
         out["metric"] = metric
+    if not L.verified:
+        out["verified"] = False
     out["entries"] = [
         {"in": list(key[:-1]), "out": key[-1], "val": format_rational(val)}
         for key, val in L.f.entries()
     ]
     return out
+
+
+def _read_entries(entries, d: int, rank: int, with_out: bool) -> dict:
+    """Entry list -> {index tuple: value}; the index is "in" (+ "out")."""
+    if not isinstance(entries, list):
+        raise AlgebraFileError("'entries' must be a list")
+    data = {}
+    for ent in entries:
+        try:
+            idx = tuple(ent["in"]) + ((ent["out"],) if with_out else ())
+            val = parse_rational(ent["val"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise AlgebraFileError(f"bad entry {ent!r}: {exc}") from exc
+        if len(idx) != rank:
+            raise AlgebraFileError(f"entry {ent!r} has wrong index count")
+        # type() rather than isinstance(): JSON true/false are not indices
+        if any(type(i) is not int or not 1 <= i <= d for i in idx):
+            raise AlgebraFileError(f"entry index {idx} out of 1..{d}")
+        if idx in data:
+            raise AlgebraFileError(f"duplicate entry for index {idx}")
+        data[idx] = val
+    return data
 
 
 def from_json_dict(obj: dict) -> NaryAlgebra:
@@ -621,36 +609,33 @@ def from_json_dict(obj: dict) -> NaryAlgebra:
         raise AlgebraFileError(f"missing field {exc}") from exc
     if not isinstance(d, int) or d < 0 or not isinstance(n, int) or n < 2:
         raise AlgebraFileError(f"bad dim/arity ({d}, {n})")
-    if not isinstance(entries, list):
-        raise AlgebraFileError("'entries' must be a list")
-    data = {}
-    for ent in entries:
-        try:
-            idx = tuple(ent["in"]) + (ent["out"],)
-            val = parse_rational(ent["val"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise AlgebraFileError(f"bad entry {ent!r}: {exc}") from exc
-        if len(idx) != n + 1:
-            raise AlgebraFileError(f"entry {ent!r} has wrong index count")
-        if any(not isinstance(i, int) or not 1 <= i <= d for i in idx):
-            raise AlgebraFileError(f"entry index {idx} out of 1..{d}")
-        if idx in data:
-            raise AlgebraFileError(f"duplicate entry for index {idx}")
-        data[idx] = val
+    verified = obj.get("verified", True)
+    if not isinstance(verified, bool):
+        raise AlgebraFileError(f"'verified' must be true or false, got {verified!r}")
+    data = _read_entries(entries, d, n + 1, with_out=True)
     metric = _metric_from_json(obj["metric"], d) if "metric" in obj else None
-    return NaryAlgebra(name, d, n, RationalTensor((d,) * (n + 1), data), metric)
+    L = NaryAlgebra(name, d, n, RationalTensor((d,) * (n + 1), data), metric)
+    L.verified = verified
+    return L
 
 
-def save(L: NaryAlgebra, path) -> None:
+def _write_json(obj: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(L), fh, indent=1)
+        json.dump(obj, fh, indent=1)
         fh.write("\n")
 
 
-def load(path) -> NaryAlgebra:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise AlgebraFileError(f"not valid JSON: {exc}") from exc
-    return from_json_dict(obj)
+
+
+def save(L: NaryAlgebra, path) -> None:
+    _write_json(to_json_dict(L), path)
+
+
+def load(path) -> NaryAlgebra:
+    return from_json_dict(_read_json(path))

@@ -47,12 +47,9 @@ def _parse_metric(spec: str | None, d: int, fallback: Metric | None) -> Metric |
             raise UsageError(f"lorentz:{p},{q} does not match dimension {d}")
         return Metric.lorentzian(p, q)
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = algebra._read_json(spec)
     except OSError as exc:
         raise UsageError(f"cannot read metric {spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise AlgebraFileError(f"metric file {spec!r}: {exc}") from exc
     return algebra._metric_from_json(obj, d)
 
 
@@ -73,47 +70,31 @@ def _parse_signature(text: str):
 # suites
 
 
-def _suite_checks(L: NaryAlgebra, names, metric: Metric | None):
-    checks = []
-    for name in names:
-        if name == "filippov":
-            checks.append(algebra.check_filippov(L))
-        elif name == "skew":
-            checks.append(algebra.check_skew(L, range(1, L.n + 1)))
-        elif name == "metricity":
-            checks.append(algebra.check_metricity(L, metric))
-        elif name == "fullanti":
-            checks.append(algebra.check_full_antisym_lowered(L, metric))
-        elif name == "symmetry":
-            checks.append(algebra.check_symmetry_property(L, metric))
-        elif name == "genmetric":
-            checks.append(algebra.check_generalized_metric_l(L, metric))
-        elif name == "cyclic":
-            checks.append(algebra.check_cyclic(L))
-        elif name == "triple":
-            checks.append(algebra.is_lie_triple(L))
-        elif name == "nple":
-            checks.append(algebra.is_lie_nple(L))
-        elif name == "lple":
-            checks.append(young.is_lie_lple(L))
-        elif name == "nondegenerate":
-            checks.append(forms.nondegenerate(forms.kasymov(L)))
-        else:
-            raise UsageError(f"unknown check {name!r}")
-    return checks
+def _any_arity(n: int) -> bool:
+    return True
+
+
+# name -> (check, applies to arity); `all` expands in this order.  Arity is
+# always >= 2, so "odd" already means ">= 3".  Checks are looked up on their
+# module at call time, so wrappers installed after import still see them.
+CHECKS = {
+    "filippov": (lambda L, m: algebra.check_filippov(L), _any_arity),
+    "skew": (lambda L, m: algebra.check_skew(L, range(1, L.n + 1)), _any_arity),
+    "metricity": (lambda L, m: algebra.check_metricity(L, m), _any_arity),
+    "fullanti": (lambda L, m: algebra.check_full_antisym_lowered(L, m), _any_arity),
+    "cyclic": (lambda L, m: algebra.check_cyclic(L), _any_arity),
+    "nple": (lambda L, m: algebra.is_lie_nple(L), _any_arity),
+    "nondegenerate": (lambda L, m: forms.nondegenerate(forms.kasymov(L)), _any_arity),
+    "symmetry": (lambda L, m: algebra.check_symmetry_property(L, m), lambda n: n >= 3),
+    "triple": (lambda L, m: algebra.is_lie_triple(L), lambda n: n == 3),
+    "genmetric": (lambda L, m: algebra.check_generalized_metric_l(L, m), lambda n: n % 2 == 1),
+    # the l=7 isotypic sweep is beyond the default budget
+    "lple": (lambda L, m: young.is_lie_lple(L), lambda n: n in (3, 5)),
+}
 
 
 def _expand_all(L: NaryAlgebra) -> list:
-    names = ["filippov", "skew", "metricity", "fullanti", "cyclic", "nple", "nondegenerate"]
-    if L.n >= 3:
-        names.append("symmetry")
-    if L.n == 3:
-        names.append("triple")
-    if L.n % 2 == 1 and L.n >= 3:
-        names.append("genmetric")
-        if L.n <= 5:  # l=7 isotypic sweep is beyond the default budget
-            names.append("lple")
-    return names
+    return [name for name, (_, applies) in CHECKS.items() if applies(L.n)]
 
 
 def _report(inputs: dict, checks: list, timings: dict | None) -> dict:
@@ -201,11 +182,15 @@ def _cmd_check(args) -> int:
     timings: dict | None = {} if args.timings else None
     checks = []
     for name in names:
+        if name not in CHECKS:
+            raise UsageError(f"unknown check {name!r}")
         t0 = time.perf_counter()
-        checks.extend(_suite_checks(L, [name], metric))
+        checks.append(CHECKS[name][0](L, metric))
         if timings is not None:
             timings[name] = round(time.perf_counter() - t0, 6)
     report = _report([args.file], checks, timings)
+    if not L.verified:
+        report["verified"] = False
     _emit(_render(report, args.format), args.output)
     return EXIT_PASS if report["passed"] else EXIT_CHECK_FAILED
 

@@ -22,11 +22,14 @@ from .algebra import (
     CheckReport,
     Metric,
     NaryAlgebra,
-    _acc_dict,
+    _group_ad,
+    _zero_report,
+    all_of,
     check_filippov,
     check_metricity,
     check_skew,
     check_symmetry_property,
+    derivation_residual,
     direct_sum,
     simple_filippov,
     zero_algebra,
@@ -34,9 +37,9 @@ from .algebra import (
 from .tensor import (
     RationalTensor,
     ShapeError,
+    _acc,
     contract,
     guard,
-    is_zero,
     levi_civita,
     raise_lower,
 )
@@ -68,27 +71,6 @@ class ConstructionInput:
             raise ShapeError("metric dimension mismatch")
 
 
-def derivation_residual(l1: NaryAlgebra, l2: NaryAlgebra) -> RationalTensor:
-    """Residual of 'ad2 is a derivation of l1'.
-
-    Entry at (a1..an, b1..b_{m-1}, s) is
-    f_{a1..an}^l h_{b1..b_{m-1} l}^s - sum_r h_{b1..b_{m-1} a_r}^l f_{a1.. l ..an}^s.
-    """
-    from .algebra import _derivation_terms
-
-    if l1.d != l2.d:
-        raise ShapeError(f"dimension mismatch {l1.d} != {l2.d}")
-    rows2 = l2.ad_rows()
-    guard(len(rows2) * l1.f.nnz * (l1.n + 1), "derivation_residual")
-    out: dict = {}
-    for y_tuple, mrows in sorted(rows2.items()):
-        acc: dict = {}
-        _derivation_terms(l1.f, l1.n, mrows, acc)
-        for key, val in acc.items():
-            out[key[:-1] + y_tuple + (key[-1],)] = val
-    return RationalTensor((l1.d,) * (l1.n + l2.n), out)
-
-
 def schouten_residual(l2: NaryAlgebra, d: int | None = None,
                       metric: Metric | None = None) -> RationalTensor:
     """Expansion of antisymmetrizing n+2 index labels over d = n+1 values.
@@ -108,9 +90,7 @@ def schouten_residual(l2: NaryAlgebra, d: int | None = None,
     low = l2.lowered(metric)
     hl = raise_lower(low, l2.n, metric, "raise")  # slots (B, l, s)
     m = l2.n
-    rows: dict = {}
-    for key, val in hl.data.items():
-        rows.setdefault(key[: m - 1], {}).setdefault(key[m - 1], {})[key[m]] = val
+    rows = _group_ad(hl)
     eps_by_last: dict = {}
     for key, val in eps.data.items():
         eps_by_last.setdefault(key[-1], []).append((key[:-1], val))
@@ -123,15 +103,15 @@ def schouten_residual(l2: NaryAlgebra, d: int | None = None,
             trace += row.get(l, 0)
             for a_tuple, ev in eps_by_last.get(l, ()):
                 for s, v in row.items():
-                    _acc_dict(acc, (s,) + a_tuple, v * ev)
+                    _acc(acc, (s,) + a_tuple, v * ev)
                 for r in range(n):
                     s = a_tuple[r]
                     for x, v in row.items():
                         replaced = a_tuple[:r] + (x,) + a_tuple[r + 1:]
-                        _acc_dict(acc, (s,) + replaced, -v * ev)
+                        _acc(acc, (s,) + replaced, -v * ev)
         if trace != 0:
             for key, ev in eps.data.items():
-                _acc_dict(acc, (key[-1],) + key[:-1], -trace * ev)
+                _acc(acc, (key[-1],) + key[:-1], -trace * ev)
         for key, val in acc.items():
             out[b_tuple + key] = val
     return RationalTensor((d,) * (m + n + 1), out)
@@ -152,12 +132,7 @@ def associated_leibniz(inp: ConstructionInput, force: bool = False) -> NaryAlgeb
     if not force:
         _require(check_symmetry_property(l2, metric))
         _require(check_metricity(l2, metric))
-        res = derivation_residual(l1, l2)
-        if not is_zero(res):
-            witness = min(res.data)
-            raise ConstructionError(
-                CheckReport("derivation", False, witness, res.data[witness])
-            )
+        _require(_zero_report("derivation", derivation_residual(l1, l2).data))
     n, m = l1.n, l2.n
     arity = n + m - 3
     if arity < 2:
@@ -170,7 +145,7 @@ def associated_leibniz(inp: ConstructionInput, force: bool = False) -> NaryAlgeb
     galg = raise_lower(glow, arity + 1, metric, "raise")
     name = f"assoc({l1.name},{l2.name})"
     out = NaryAlgebra(name, l1.d, arity, galg, metric)
-    out.flags["construction_verified"] = not force
+    out.verified = not force
     return out
 
 
@@ -195,19 +170,12 @@ def check_cs3(L: NaryAlgebra, metric: Metric | None = None) -> CheckReport:
     """Definition check for the CS-type 3-algebras: metric 3-Leibniz with the
     pair-exchange symmetry property."""
     if L.n != 3:
-        L.flags["cs"] = False
         return CheckReport("cs", False, (0,), None, detail=f"arity {L.n} != 3")
-    for rep in (
+    return all_of("cs", [
         check_metricity(L, metric),
         check_symmetry_property(L, metric),
         check_filippov(L),
-    ):
-        if not rep.passed:
-            L.flags["cs"] = False
-            return CheckReport("cs", False, rep.witness, rep.residual,
-                               detail=f"failed {rep.name}")
-    L.flags["cs"] = True
-    return CheckReport("cs", True)
+    ])
 
 
 def corollary_cs3(l1: NaryAlgebra, cs3: NaryAlgebra,
@@ -323,8 +291,8 @@ def cs_so4() -> NaryAlgebra:
         for a2 in range(1, 5):
             if a1 == a2:
                 continue
-            _acc_dict(data, (a1, a2, a1, a2), -1)
-            _acc_dict(data, (a1, a2, a2, a1), 1)
+            _acc(data, (a1, a2, a1, a2), -1)
+            _acc(data, (a1, a2, a2, a1), 1)
     return NaryAlgebra("cs-so4", 4, 3, RationalTensor((4,) * 4, data), Metric.euclidean(4))
 
 

@@ -6,18 +6,18 @@ variants scale it themselves.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import AlgebraFileError, CheckReport, NaryAlgebra
-from .tensor import (
-    RationalTensor,
-    ShapeError,
-    contract,
-    format_rational,
-    parse_rational,
+from .algebra import (
+    AlgebraFileError,
+    CheckReport,
+    NaryAlgebra,
+    _read_entries,
+    _read_json,
+    _write_json,
 )
+from .tensor import RationalTensor, ShapeError, contract, format_rational
 
 
 @dataclass
@@ -96,27 +96,15 @@ def from_json_dict(obj: dict) -> TraceForm:
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise AlgebraFileError(f"bad trace form file: {exc}") from exc
-    data = {}
-    for ent in entries:
-        idx = tuple(ent["in"])
-        if len(idx) != slots or any(not 1 <= i <= d for i in idx):
-            raise AlgebraFileError(f"bad trace form entry {ent!r}")
-        if idx in data:
-            raise AlgebraFileError(f"duplicate entry for index {idx}")
-        data[idx] = parse_rational(ent["val"])
+    if type(d) is not int or d < 0 or type(slots) is not int or slots < 0:
+        raise AlgebraFileError(f"bad dim/slots ({d!r}, {slots!r})")
+    data = _read_entries(entries, d, slots, with_out=False)
     return TraceForm(arity1, arity2, RationalTensor((d,) * slots, data))
 
 
 def save(k: TraceForm, path, name: str = "trace-form") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(k, name), fh, indent=1)
-        fh.write("\n")
+    _write_json(to_json_dict(k, name), path)
 
 
 def load(path) -> TraceForm:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AlgebraFileError(f"not valid JSON: {exc}") from exc
-    return from_json_dict(obj)
+    return from_json_dict(_read_json(path))

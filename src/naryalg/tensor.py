@@ -119,10 +119,6 @@ class RationalTensor:
             return NotImplemented
         return self.shape == other.shape and self.data == other.data
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self):
         return f"RationalTensor(shape={self.shape}, nnz={self.nnz})"
 
@@ -303,6 +299,16 @@ def antisymmetrize(t, slots, normalized: bool = False) -> RationalTensor:
     so antisymmetrizing over more slots than the slot dimension yields the
     zero tensor.
     """
+    return _symmetrize(t, slots, normalized, True, "antisymmetrize")
+
+
+def symmetrize(t, slots, normalized: bool = False) -> RationalTensor:
+    """Unsigned mirror of antisymmetrize."""
+    return _symmetrize(t, slots, normalized, False, "symmetrize")
+
+
+def _symmetrize(t, slots, normalized: bool, signed: bool, what: str) -> RationalTensor:
+    # Gather each orbit onto its sorted representative, then expand it again.
     slots = _validate_slots(t, slots)
     k = len(slots)
     dims = {t.shape[s - 1] for s in slots}
@@ -313,58 +319,28 @@ def antisymmetrize(t, slots, normalized: bool = False) -> RationalTensor:
     reps = {}
     for key, val in t.data.items():
         sub = tuple(key[s - 1] for s in slots)
-        if len(set(sub)) != k:
+        if not signed:
+            srt, sign = tuple(sorted(sub)), 1
+        elif len(set(sub)) == k:
+            srt, sign = _sort_with_parity(sub)
+        else:
             continue
-        srt, sign = _sort_with_parity(sub)
         rep = list(key)
         for s, i in zip(slots, srt):
             rep[s - 1] = i
         _acc(reps, tuple(rep), sign * val)
-    guard(len(reps) * math.factorial(k), "antisymmetrize expansion")
-    norm = Fraction(1, math.factorial(k)) if normalized else 1
+    guard(len(reps) * math.factorial(k), f"{what} expansion")
     out = {}
     for rep, val in reps.items():
         srt = tuple(rep[s - 1] for s in slots)
-        val = val * norm
-        for perm in itertools.permutations(srt):
+        stab = math.prod(math.factorial(srt.count(i)) for i in set(srt))
+        val = val * (Fraction(stab, math.factorial(k)) if normalized else stab)
+        perms = itertools.permutations(srt)
+        for perm in perms if signed else set(perms):
             key = list(rep)
             for s, i in zip(slots, perm):
                 key[s - 1] = i
-            out[tuple(key)] = _parity(perm) * val
-    return RationalTensor(t.shape, out)
-
-
-def symmetrize(t, slots, normalized: bool = False) -> RationalTensor:
-    """Unsigned mirror of antisymmetrize."""
-    slots = _validate_slots(t, slots)
-    k = len(slots)
-    dims = {t.shape[s - 1] for s in slots}
-    if len(dims) > 1:
-        raise ShapeError(f"slots {slots} have mixed dimensions {sorted(dims)}")
-    if k <= 1:
-        return RationalTensor(t.shape, dict(t.data))
-    reps = {}
-    for key, val in t.data.items():
-        sub = tuple(sorted(key[s - 1] for s in slots))
-        rep = list(key)
-        for s, i in zip(slots, sub):
-            rep[s - 1] = i
-        _acc(reps, tuple(rep), val)
-    guard(len(reps) * math.factorial(k), "symmetrize expansion")
-    out = {}
-    for rep, val in reps.items():
-        srt = tuple(rep[s - 1] for s in slots)
-        stab = 1
-        for i in set(srt):
-            stab *= math.factorial(srt.count(i))
-        scaled = val * (Fraction(stab, math.factorial(k)) if normalized else stab)
-        if scaled == 0:
-            continue
-        for perm in set(itertools.permutations(srt)):
-            key = list(rep)
-            for s, i in zip(slots, perm):
-                key[s - 1] = i
-            out[tuple(key)] = scaled
+            out[tuple(key)] = _parity(perm) * val if signed else val
     return RationalTensor(t.shape, out)
 
 

@@ -14,8 +14,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import CheckReport, NaryAlgebra, check_filippov, check_skew
-from .tensor import RationalTensor, ShapeError, SizeGuardError, antisymmetrize, symmetrize
+from .algebra import CheckReport, NaryAlgebra, all_of, check_filippov, check_skew
+from .tensor import (
+    RationalTensor,
+    ShapeError,
+    SizeGuardError,
+    _acc,
+    antisymmetrize,
+    symmetrize,
+)
 
 ISOTYPIC_PERMUTATION_BUDGET = 10_000_000
 
@@ -216,18 +223,6 @@ def isotypic_project(t: RationalTensor, slots, shape,
     return RationalTensor(t.shape, {k: v * norm for k, v in acc.items()})
 
 
-def _acc(store: dict, key: tuple, val) -> None:
-    cur = store.get(key)
-    if cur is None:
-        store[key] = val
-    else:
-        cur = cur + val
-        if cur == 0:
-            del store[key]
-        else:
-            store[key] = cur
-
-
 def _partitions(n: int, cap: int | None = None):
     if n == 0:
         yield ()
@@ -257,19 +252,15 @@ def is_lie_lple(L: NaryAlgebra, force: bool = False) -> CheckReport:
     if L.n % 2 == 0 or L.n < 3:
         raise ShapeError(f"l-ple check needs odd arity >= 3, got {L.n}")
     n = (L.n + 3) // 2
-    for rep in (
+    pre = all_of("lple", [
         check_skew(L, range(1, n)),
         check_skew(L, range(n, L.n + 1)),
         check_filippov(L),
-    ):
-        if not rep.passed:
-            L.flags["lple"] = False
-            return CheckReport("lple", False, rep.witness, rep.residual,
-                               detail=f"failed {rep.name}")
+    ])
+    if not pre.passed:
+        return pre
     for r, nonzero, _ in classify_bracket(L, force=force):
         if nonzero and r != n - 2:
-            L.flags["lple"] = False
             return CheckReport("lple", False, (r,), None,
                                detail=f"nonzero component at r={r} != {n - 2}")
-    L.flags["lple"] = True
-    return CheckReport("lple", True)
+    return pre

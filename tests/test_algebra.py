@@ -145,6 +145,17 @@ class TestMetricity:
         assert not report.passed
         assert report.witness == (1, 1, 1)
 
+    def test_lowered_cache_is_keyed_by_metric_value(self):
+        from naryalg import builtin
+
+        a4 = builtin("A4")
+        false_passes = 0
+        for _ in range(1000):
+            assert check_metricity(a4, Metric.euclidean(4)).passed
+            false_passes += check_metricity(a4, Metric.lorentzian(1, 3)).passed
+        assert false_passes == 0
+        assert hash(Metric.euclidean(4)) == hash(Metric.diag([1, 1, 1, 1]))
+
 
 class TestFullAntisymLowered:
     def test_a4(self, a4):
@@ -232,11 +243,27 @@ class TestFileFormat:
             save(alg, path)
             assert load(path) == alg
 
-    def test_flags_never_loaded(self, tmp_path, a4):
+    def test_verified_survives_round_trip(self, tmp_path, a4):
         path = tmp_path / "a4.json"
         check_filippov(a4)
         save(a4, path)
-        assert load(path).flags == {}
+        assert "verified" not in to_json_dict(a4)
+        loaded = load(path)
+        assert loaded.verified is True
+        loaded.verified = False
+        save(loaded, path)
+        assert load(path).verified is False
+
+    def test_non_boolean_verified_rejected(self):
+        obj = {"name": "x", "dim": 2, "arity": 2, "verified": "no", "entries": []}
+        with pytest.raises(AlgebraFileError):
+            from_json_dict(obj)
+
+    def test_boolean_index_rejected(self):
+        obj = {"name": "x", "dim": 2, "arity": 2,
+               "entries": [{"in": [True, 2], "out": 1, "val": "1"}]}
+        with pytest.raises(AlgebraFileError):
+            from_json_dict(obj)
 
     def test_zero_index_rejected(self):
         obj = {"name": "x", "dim": 2, "arity": 2,

@@ -61,6 +61,16 @@ class TestGenCheckPipeline:
         run(["check", str(a4_file), "--suite", "filippov,nondegenerate"])
         assert capsys.readouterr().out == first
 
+    def test_degenerate_algebra_fails_nondegenerate(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        assert run(["gen", "--family", "zero", "--n", "3", "--d", "4", "-o", str(path)]) == 0
+        assert run(["check", str(path), "--suite", "nondegenerate"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"] == [{
+            "name": "nondegenerate", "passed": False, "witness": ["1", "0", "0", "0"],
+            "residual": "0", "detail": "radical vector coordinates",
+        }]
+
     def test_timings_flag_adds_field(self, a4_file, capsys):
         run(["check", str(a4_file), "--suite", "filippov", "--timings"])
         report = json.loads(capsys.readouterr().out)
@@ -100,6 +110,18 @@ class TestCompose:
         assert load(out).f == builtin("cs-so4").f
         assert run(["check", str(out), "--suite", "triple,lple"]) == 0
         capsys.readouterr()
+
+    def test_forced_output_is_reported_unverified(self, a4_file, tmp_path, capsys):
+        out = tmp_path / "forced.json"
+        assert run([
+            "compose", "--l1", str(a4_file), "--l2", str(a4_file),
+            "--metric", "euclid", "--force", "-o", str(out),
+        ]) == 0
+        assert read_json(out)["verified"] is False
+        assert run(["check", str(out), "--suite", "filippov"]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is False
+        assert run(["check", str(a4_file), "--suite", "filippov"]) == 0
+        assert "verified" not in json.loads(capsys.readouterr().out)
 
     def test_rejection_exits_one(self, a4_file, tmp_path, capsys):
         bad = NaryAlgebra(

@@ -102,10 +102,16 @@ class TestAssociatedLeibniz:
             associated_leibniz(ConstructionInput(a4, bad, Metric.euclidean(4)))
         assert exc.value.report.witness is not None
 
-    def test_force_skips_checks_and_marks_output(self, a4):
+    def test_force_skips_checks_and_marks_output(self, a4, tmp_path):
+        from naryalg import load, save
+
         bad = non_metric_3leibniz(4)
         out = associated_leibniz(ConstructionInput(a4, bad, Metric.euclidean(4)), force=True)
-        assert out.flags["construction_verified"] is False
+        assert out.verified is False
+        assert associated_leibniz(ConstructionInput(a4, a4, a4.metric)).verified is True
+        path = tmp_path / "forced.json"
+        save(out, path)
+        assert load(path).verified is False
 
 
 class TestCorollaries:

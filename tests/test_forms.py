@@ -1,6 +1,8 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from naryalg import (
     RationalTensor,
     ad_matrix,
@@ -13,7 +15,7 @@ from naryalg import (
     simple_filippov,
     zero_algebra,
 )
-from naryalg import forms, linalg
+from naryalg import AlgebraFileError, forms, linalg
 
 
 def trace_of_ads(L1, L2, a_indices, b_indices):
@@ -112,3 +114,19 @@ class TestTraceFormIO:
         loaded = forms.load(path)
         assert loaded.tensor == k.tensor
         assert (loaded.arity1, loaded.arity2) == (k.arity1, k.arity2)
+
+    @pytest.mark.parametrize("entry", [
+        {"val": "1"},
+        {"in": 5, "val": "1"},
+        {"in": ["a", 1], "val": "1"},
+        {"in": [True, 2], "val": "1"},
+    ], ids=["missing-in", "scalar-in", "string-index", "boolean-index"])
+    def test_bad_entry_index_rejected(self, entry):
+        obj = {"dim": 2, "slots": 2, "entries": [entry]}
+        with pytest.raises(AlgebraFileError):
+            forms.from_json_dict(obj)
+
+    def test_non_integer_dim_rejected(self):
+        obj = {"dim": "2", "slots": 2, "entries": [{"in": [1, 2], "val": "1"}]}
+        with pytest.raises(AlgebraFileError):
+            forms.from_json_dict(obj)
