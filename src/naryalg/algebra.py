@@ -18,6 +18,7 @@ from .tensor import (
     RationalTensor,
     ShapeError,
     _acc,
+    _integral,
     antisymmetrize,
     format_rational,
     guard,
@@ -38,13 +39,12 @@ class Metric:
     """Symmetric non-degenerate bilinear form on Q^d.
 
     Immutable and hashed by value, so results computed for one metric can be
-    cached under any equal one.
+    cached under any equal one.  Integral entries of the matrix and of its
+    inverse are stored as ints.
     """
 
     def __init__(self, entries):
-        self.entries = tuple(
-            tuple(Fraction(x) if not isinstance(x, int) else x for x in row) for row in entries
-        )
+        self.entries = tuple(tuple(_integral(Fraction(x)) for x in row) for row in entries)
         self.d = len(self.entries)
         for row in self.entries:
             if len(row) != self.d:
@@ -54,9 +54,10 @@ class Metric:
                 if self.entries[i][j] != self.entries[j][i]:
                     raise ShapeError("metric matrix is not symmetric")
         try:
-            self.inverse = tuple(map(tuple, linalg.invert(self.entries))) if self.d else ()
+            inverse = linalg.invert(self.entries) if self.d else []
         except linalg.SingularMatrixError as exc:
             raise ShapeError("metric is singular") from exc
+        self.inverse = tuple(tuple(_integral(x) for x in row) for row in inverse)
 
     @classmethod
     def diag(cls, signs) -> "Metric":
@@ -97,6 +98,10 @@ class Metric:
         return f"Metric({self.entries!r})"
 
 
+class Coordinates(tuple):
+    """A witness that is a vector's coordinates, not an index tuple."""
+
+
 @dataclass
 class CheckReport:
     name: str
@@ -112,7 +117,10 @@ class CheckReport:
     def as_dict(self) -> dict:
         out = {"name": self.name, "passed": self.passed}
         if self.witness is not None:
-            out["witness"] = [i if isinstance(i, int) else format_rational(i) for i in self.witness]
+            if isinstance(self.witness, Coordinates):
+                out["witness"] = [format_rational(x) for x in self.witness]
+            else:
+                out["witness"] = list(self.witness)
         if self.residual is not None:
             out["residual"] = format_rational(self.residual)
         if self.detail:
@@ -335,22 +343,51 @@ def _adjoint_span_representatives(L: NaryAlgebra):
     return reps
 
 
+def _span_residual(l1: NaryAlgebra, l2: NaryAlgebra) -> dict:
+    """First nonzero derivation-residual slice over a spanning set of ad2.
+
+    The residual is linear in ad2, so it vanishes on every ad2 iff it
+    vanishes on a spanning set: an empty result means ad2 is a derivation.
+    """
+    reps = _adjoint_span_representatives(l2)
+    guard(len(reps) * l1.f.nnz * (l1.n + 1), "adjoint-span derivation check")
+    for y_tuple, mrows in reps:
+        res = _residual_slice(l1, y_tuple, mrows)
+        if res:
+            return res
+    return {}
+
+
+def check_derivation(l1: NaryAlgebra, l2: NaryAlgebra) -> CheckReport:
+    """Exact check that every ad of l2 is a derivation of l1.
+
+    Large pairs first run the adjoint-span check; a failure (or a small pair)
+    materializes the full residual, so the witness is always its
+    lexicographically first nonzero entry.
+    """
+    if l1.d != l2.d:
+        raise ShapeError(f"dimension mismatch {l1.d} != {l2.d}")
+    if _derivation_work(l1, l2) > FULL_RESIDUAL_WORK_LIMIT and not _span_residual(l1, l2):
+        return CheckReport("derivation", True)
+    return _zero_report("derivation", derivation_residual(l1, l2).data)
+
+
 def check_filippov(L: NaryAlgebra) -> CheckReport:
-    """Exact FI check.
+    """Exact FI check, computed once per algebra.
 
     Small algebras materialize the full residual (witness = lexicographically
     first nonzero residual entry).  Large ones use the equivalent derivation
-    check over a spanning set of adjoint matrices: the residual is linear in
-    ad_A, so vanishing on a spanning set is vanishing everywhere.
+    check over a spanning set of adjoint matrices.
     """
-    if _derivation_work(L, L) <= FULL_RESIDUAL_WORK_LIMIT:
-        return _zero_report("filippov", filippov_residual(L).data)
-    res: dict = {}
-    for a_tuple, mrows in _adjoint_span_representatives(L):
-        res = _residual_slice(L, a_tuple, mrows)
-        if res:
-            break
-    return _zero_report("filippov", res, "adjoint-span derivation check")
+    report = L._cache.get("filippov")
+    if report is None:
+        if _derivation_work(L, L) <= FULL_RESIDUAL_WORK_LIMIT:
+            report = _zero_report("filippov", filippov_residual(L).data)
+        else:
+            report = _zero_report("filippov", _span_residual(L, L),
+                                  "adjoint-span derivation check")
+        L._cache["filippov"] = report
+    return report
 
 
 def filippov_sampled(L: NaryAlgebra, samples: int = 10_000, seed: int = 12345) -> CheckReport:
@@ -547,7 +584,7 @@ def _metric_from_json(obj, d: int) -> Metric:
         diag = obj["diag"]
         if not isinstance(diag, list) or len(diag) != d:
             raise AlgebraFileError("metric diag has wrong length")
-        if any(not isinstance(x, int) or x == 0 for x in diag):
+        if any(type(x) is not int or x == 0 for x in diag):
             raise AlgebraFileError("metric diag entries must be nonzero integers")
         return Metric.diag(diag)
     if "matrix" in obj:
@@ -607,7 +644,8 @@ def from_json_dict(obj: dict) -> NaryAlgebra:
         entries = obj["entries"]
     except KeyError as exc:
         raise AlgebraFileError(f"missing field {exc}") from exc
-    if not isinstance(d, int) or d < 0 or not isinstance(n, int) or n < 2:
+    # type() rather than isinstance(): JSON true/false are not sizes
+    if type(d) is not int or d < 0 or type(n) is not int or n < 2:
         raise AlgebraFileError(f"bad dim/arity ({d}, {n})")
     verified = obj.get("verified", True)
     if not isinstance(verified, bool):

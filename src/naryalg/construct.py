@@ -23,8 +23,8 @@ from .algebra import (
     Metric,
     NaryAlgebra,
     _group_ad,
-    _zero_report,
     all_of,
+    check_derivation,
     check_filippov,
     check_metricity,
     check_skew,
@@ -132,7 +132,7 @@ def associated_leibniz(inp: ConstructionInput, force: bool = False) -> NaryAlgeb
     if not force:
         _require(check_symmetry_property(l2, metric))
         _require(check_metricity(l2, metric))
-        _require(_zero_report("derivation", derivation_residual(l1, l2).data))
+        _require(check_derivation(l1, l2))
     n, m = l1.n, l2.n
     arity = n + m - 3
     if arity < 2:

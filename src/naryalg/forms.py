@@ -12,6 +12,7 @@ from . import linalg
 from .algebra import (
     AlgebraFileError,
     CheckReport,
+    Coordinates,
     NaryAlgebra,
     _read_entries,
     _read_json,
@@ -68,7 +69,7 @@ def nondegenerate(k: TraceForm) -> CheckReport:
     if linalg.rank(mat, len(cols) or 1) == d:
         return CheckReport("nondegenerate", True)
     radical = linalg.nullspace(linalg.transpose(mat) if cols else [[0] * d], d)
-    vec = tuple(radical[0]) if radical else (0,) * d
+    vec = Coordinates(radical[0] if radical else (0,) * d)
     return CheckReport("nondegenerate", False, witness=vec, residual=0,
                        detail="radical vector coordinates")
 

@@ -3,8 +3,9 @@
 Tensors are stored sparsely (index tuple -> nonzero value) but behave like
 dense arrays: absent entries are exactly zero.  All index tuples and slot
 numbers are 1-based, matching the usual structure-constant conventions.
-Values are Python ints or ``fractions.Fraction``; arithmetic is exact and
-zeros are never stored.
+Integral values are Python ints, all others ``fractions.Fraction``s:
+parsing and metrics keep integral data as ints, which keeps the hot kernels
+on int arithmetic.  Arithmetic is exact and zeros are never stored.
 """
 
 from __future__ import annotations
@@ -43,15 +44,26 @@ def guard(count, what: str) -> None:
         raise SizeGuardError(f"{what}: {count} exceeds size guard {cap}")
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+# ASCII digits only and no trailing newline: re's \d and $ accept both.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a 'p' or 'p/q' literal; anything else is malformed."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+def _integral(value):
+    """value as an int when it is an integral Fraction, else unchanged."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def parse_rational(text: str):
+    """Parse a 'p' or 'p/q' literal to an int if integral, else a Fraction.
+
+    Anything else is malformed.
+    """
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"malformed rational literal {text!r}")
     try:
-        return Fraction(text)
+        return _integral(Fraction(text))
     except ZeroDivisionError as exc:
         raise ValueError(f"malformed rational literal {text!r}") from exc
 

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from naryalg import (
     Metric,
     NaryAlgebra,
     RationalTensor,
+    check_derivation,
     check_filippov,
     check_full_antisym_lowered,
     check_generalized_metric_l,
@@ -14,6 +16,7 @@ from naryalg import (
     check_skew,
     check_symmetry_property,
     cyclic_sum,
+    derivation_residual,
     direct_sum,
     filippov_residual,
     full_antisymmetrization,
@@ -100,21 +103,26 @@ class TestFilippovIdentity:
         res = filippov_residual(perturbed_a4())
         assert res.get(report.witness) == report.residual != 0
 
-    def test_span_path_agrees_with_full_residual(self, a4, cs, a4_sum_a4):
+    def test_span_path_agrees_with_full_residual(self, a4, cs, a4_sum_a4, a8, monkeypatch):
         # the adjoint-span derivation check must agree with the materialized
-        # residual wherever both are feasible
-        from naryalg.algebra import _adjoint_span_representatives, _derivation_terms
+        # residual wherever both are feasible, and check_derivation must give
+        # the full residual's witness on either route
+        from naryalg import algebra
 
-        for alg in (a4, cs, a4_sum_a4, perturbed_a4()):
-            expected = is_zero(filippov_residual(alg))
-            failed = False
-            for _, mrows in _adjoint_span_representatives(alg):
-                acc = {}
-                _derivation_terms(alg.f, alg.n, mrows, acc)
-                if acc:
-                    failed = True
-                    break
-            assert (not failed) == expected
+        bad = perturbed_a4()
+        pairs = [(a4, a4), (cs, cs), (a4_sum_a4, a4_sum_a4), (bad, bad),
+                 (a4, cs), (a8, a4_sum_a4), (bad, cs), (a4, bad)]
+        for l1, l2 in pairs:
+            full = derivation_residual(l1, l2)
+            assert (not algebra._span_residual(l1, l2)) == is_zero(full)
+            expected = algebra._zero_report("derivation", full.data)
+            with monkeypatch.context() as m:
+                m.setattr(algebra, "FULL_RESIDUAL_WORK_LIMIT", 0)
+                span = check_derivation(l1, l2)
+            assert span.passed == expected.passed == is_zero(full)
+            assert (span.witness, span.residual) == (expected.witness, expected.residual)
+            if not span.passed:
+                assert full.get(span.witness) == span.residual != 0
 
 
 class TestSkew:
@@ -243,6 +251,24 @@ class TestFileFormat:
             save(alg, path)
             assert load(path) == alg
 
+    def test_loaded_values_are_ints_where_integral(self, tmp_path, a4, cs):
+        scaled = NaryAlgebra(
+            "A4-scaled", 4, 3,
+            RationalTensor(a4.f.shape, {k: v * Fraction(3, 2) * (k[0] % 2 + 1)
+                                        for k, v in a4.f.data.items()}),
+            Metric([[Fraction(i + 1, 2) if i == j else 0 for j in range(4)] for i in range(4)]),
+        )
+        for alg in (a4, cs, scaled):
+            path = tmp_path / "in.json"
+            save(alg, path)
+            loaded = load(path)
+            for val in [*loaded.f.data.values(), *sum(loaded.metric.entries, ())]:
+                assert type(val) is (int if val.denominator == 1 else Fraction)
+            again = tmp_path / "again.json"
+            save(loaded, again)
+            assert again.read_bytes() == path.read_bytes()
+        assert {type(v) for v in load(path).f.data.values()} == {int, Fraction}
+
     def test_verified_survives_round_trip(self, tmp_path, a4):
         path = tmp_path / "a4.json"
         check_filippov(a4)
@@ -262,6 +288,15 @@ class TestFileFormat:
     def test_boolean_index_rejected(self):
         obj = {"name": "x", "dim": 2, "arity": 2,
                "entries": [{"in": [True, 2], "out": 1, "val": "1"}]}
+        with pytest.raises(AlgebraFileError):
+            from_json_dict(obj)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", True), ("arity", True), ("metric", {"diag": [True, 1]}),
+    ])
+    def test_boolean_size_rejected(self, field, value):
+        obj = {"name": "x", "dim": 2, "arity": 2, "entries": []}
+        obj[field] = value
         with pytest.raises(AlgebraFileError):
             from_json_dict(obj)
 

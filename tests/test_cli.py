@@ -2,13 +2,33 @@ import json
 
 import pytest
 
-from naryalg import Metric, NaryAlgebra, RationalTensor, builtin, save
+from naryalg import Metric, NaryAlgebra, RationalTensor, algebra, builtin, save
+from naryalg.algebra import CheckReport, Coordinates
 from naryalg.cli import run
 
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+RADICAL_REPORT = {
+    "name": "nondegenerate", "passed": False, "witness": ["1", "0", "0", "0"],
+    "residual": "0", "detail": "radical vector coordinates",
+}
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name with a wrapper; returns its growing call list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture()
@@ -66,10 +86,14 @@ class TestGenCheckPipeline:
         assert run(["gen", "--family", "zero", "--n", "3", "--d", "4", "-o", str(path)]) == 0
         assert run(["check", str(path), "--suite", "nondegenerate"]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert report["checks"] == [{
-            "name": "nondegenerate", "passed": False, "witness": ["1", "0", "0", "0"],
-            "residual": "0", "detail": "radical vector coordinates",
-        }]
+        assert report["checks"] == [RADICAL_REPORT]
+
+    def test_coordinate_witness_renders_as_rationals_whatever_its_type(self):
+        # the radical vector reads as rationals even when its values are ints
+        report = CheckReport("nondegenerate", False, Coordinates((1, 0, 0, 0)), 0,
+                             "radical vector coordinates")
+        assert report.as_dict() == RADICAL_REPORT
+        assert CheckReport("skew", False, (1, 2, 1, 2), 2).as_dict()["witness"] == [1, 2, 1, 2]
 
     def test_timings_flag_adds_field(self, a4_file, capsys):
         run(["check", str(a4_file), "--suite", "filippov", "--timings"])
@@ -138,6 +162,53 @@ class TestCompose:
         assert code == 1
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False
+
+
+    def test_failed_derivation_report_is_the_same_on_both_routes(
+            self, tmp_path, capsys, monkeypatch):
+        a4 = builtin("A4")
+        data = dict(a4.f.data)
+        data[(1, 2, 3, 4)] = 2
+        l1 = tmp_path / "bad.json"
+        save(NaryAlgebra("A4-perturbed", 4, 3, RationalTensor((4,) * 4, data), a4.metric), l1)
+        l2 = tmp_path / "cs.json"
+        assert run(["gen", "--family", "cs-so4", "-o", str(l2)]) == 0
+        argv = ["compose", "--l1", str(l1), "--l2", str(l2), "--metric", "euclid",
+                "-o", str(tmp_path / "out.json")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        full = capsys.readouterr().out
+        monkeypatch.setattr(algebra, "FULL_RESIDUAL_WORK_LIMIT", 0)
+        spans = count_calls(monkeypatch, algebra, "_span_residual")
+        assert run(argv) == 1
+        assert capsys.readouterr().out == full
+        assert len(spans) == 1
+        assert json.loads(full)["checks"][0]["name"] == "derivation"
+
+
+class TestFilippovMemo:
+    """One FI verdict per loaded algebra, however many checks ask for it."""
+
+    def test_seven_leibniz_filippov_nple(self, tmp_path, capsys, monkeypatch, seven_leibniz):
+        path = tmp_path / "seven.json"
+        save(seven_leibniz, path)
+        slices = count_calls(monkeypatch, algebra, "_residual_slice")
+        assert run(["check", str(path), "--suite", "filippov"]) == 0
+        once = len(slices)
+        assert once > 0
+        assert run(["check", str(path), "--suite", "filippov,nple"]) == 0
+        assert len(slices) == 2 * once
+        capsys.readouterr()
+
+    def test_a6_suite_all(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "a6.json"
+        assert run(["gen", "--family", "A", "--n", "5", "-o", str(path)]) == 0
+        residuals = count_calls(monkeypatch, algebra, "derivation_residual")
+        assert run(["check", str(path), "--suite", "all"]) == 1  # the cyclic sum is nonzero
+        checks = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["filippov"]
+        assert {"nple", "genmetric", "lple"} <= set(checks)
+        assert len(residuals) == 1
 
 
 class TestOtherVerbs:

@@ -13,8 +13,10 @@ from naryalg.tensor import (
     antisymmetrize,
     contract,
     is_zero,
+    format_rational,
     kronecker_delta,
     levi_civita,
+    parse_rational,
     permute,
     raise_lower,
     scale,
@@ -211,3 +213,41 @@ class TestRaiseLower:
     def test_singular_metric_rejected(self):
         with pytest.raises(ShapeError):
             Metric([[1, 1], [1, 1]])
+
+
+class TestIntegralValues:
+    """Integral values are ints, all others Fractions."""
+
+    def test_parse_rational_types(self):
+        for text, value in (("4/2", 2), ("-3", -3), ("0/5", 0), ("-6/3", -2)):
+            assert parse_rational(text) == value
+            assert type(parse_rational(text)) is int
+        assert parse_rational("1/2") == Fraction(1, 2)
+        assert type(parse_rational("1/2")) is Fraction
+
+    @pytest.mark.parametrize("text", ["1\n", "\u0661", "1/\u0662", " 1", "1 ", "+1", "1/0", ""])
+    def test_parse_rational_rejects_non_literals(self, text):
+        # a trailing newline and non-ASCII digits used to parse
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    def test_format_is_type_blind(self):
+        assert format_rational(2) == format_rational(Fraction(2)) == "2"
+
+    def test_integral_metric_and_inverse_are_ints(self):
+        g = Metric.lorentzian(1, 3)
+        assert all(type(x) is int for row in g.inverse for x in row)
+        assert all(type(x) is int for row in g.entries for x in row)
+        h = Metric([[Fraction(2), Fraction(1, 1)], [1, 1]])
+        assert all(type(x) is int for row in h.entries + h.inverse for x in row)
+
+    def test_non_integral_metric_inverse_stays_exact(self):
+        g = Metric([[2, 0], [0, Fraction(1, 3)]])
+        assert g.inverse == ((Fraction(1, 2), 0), (0, 3))
+        assert type(g.inverse[0][0]) is Fraction and type(g.inverse[1][1]) is int
+
+    def test_raise_keeps_integer_data_integral(self):
+        g = Metric.lorentzian(1, 3)
+        t = random_tensor((4, 4), seed=4, density=0.5)
+        ints = RationalTensor(t.shape, {k: v.numerator for k, v in t.data.items()})
+        assert all(type(v) is int for v in raise_lower(ints, 2, g, "raise").data.values())
