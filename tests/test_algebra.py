@@ -125,6 +125,15 @@ class TestFilippovIdentity:
                 assert full.get(span.witness) == span.residual != 0
 
 
+    def test_span_route_is_guarded(self, a4, cs, monkeypatch):
+        from naryalg import SizeGuardError, algebra
+
+        monkeypatch.setattr(algebra, "FULL_RESIDUAL_WORK_LIMIT", 0)
+        monkeypatch.setenv("NARY_SIZE_GUARD", "10")
+        with pytest.raises(SizeGuardError, match="adjoint-span derivation check"):
+            check_derivation(a4, cs)
+
+
 class TestSkew:
     def test_a5_fully_skew(self, a5):
         assert check_skew(a5, range(1, 5)).passed

@@ -163,7 +163,6 @@ class TestCompose:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False
 
-
     def test_failed_derivation_report_is_the_same_on_both_routes(
             self, tmp_path, capsys, monkeypatch):
         a4 = builtin("A4")
