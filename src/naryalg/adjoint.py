@@ -130,10 +130,10 @@ class LieClosure:
 def lie_closure(L: NaryAlgebra) -> LieClosure:
     """Commutator closure of the basis adjoint matrices.
 
-    Generators are the ad matrices of all basis (n-1)-tuples, inserted in
-    lexicographic order into an echelonized basis of the d^2 matrix space;
-    commutators are added breadth-first until the span is stable.  The
-    insertion order makes the returned basis deterministic.
+    Generators are the ad matrices of the basis (n-1)-tuples in L.ad_span(),
+    which are exactly those, in lexicographic order, that are independent of
+    the ones before them; commutators are added breadth-first until the span
+    is stable.  The insertion order makes the returned basis deterministic.
     """
     d = L.d
     guard(d ** (L.n - 1) * d * d, f"lie_closure({L.name})")
@@ -146,10 +146,9 @@ def lie_closure(L: NaryAlgebra) -> LieClosure:
             return True
         return False
 
-    rows = L.ad_rows()
-    for indices in sorted(rows):
+    for _, mrows in L.ad_span():
         mat = linalg.zeros_matrix(d)
-        for b, row in rows[indices].items():
+        for b, row in mrows.items():
             for c, val in row.items():
                 mat[c - 1][b - 1] = val
         insert(mat)

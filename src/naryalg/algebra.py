@@ -53,10 +53,18 @@ class Metric:
             for j in range(i):
                 if self.entries[i][j] != self.entries[j][i]:
                     raise ShapeError("metric matrix is not symmetric")
-        try:
-            inverse = linalg.invert(self.entries) if self.d else []
-        except linalg.SingularMatrixError as exc:
-            raise ShapeError("metric is singular") from exc
+        if self.is_diagonal:
+            if 0 in self.diagonal():
+                raise ShapeError("metric is singular")
+            inverse = [[Fraction(1) / x if i == j else 0 for j, x in enumerate(row)]
+                       for i, row in enumerate(self.entries)]
+        else:
+            # Gauss-Jordan on the d x 2d augmented matrix
+            guard(2 * self.d ** 3, "metric inverse")
+            try:
+                inverse = linalg.invert(self.entries)
+            except linalg.SingularMatrixError as exc:
+                raise ShapeError("metric is singular") from exc
         self.inverse = tuple(tuple(_integral(x) for x in row) for row in inverse)
 
     @classmethod
@@ -182,6 +190,29 @@ class NaryAlgebra:
         if "ad_rows" not in self._cache:
             self._cache["ad_rows"] = _group_ad(self.f)
         return self._cache["ad_rows"]
+
+    def ad_span(self) -> list:
+        """Basis (n-1)-tuples whose ad matrices span the whole ad space.
+
+        A list of (A, ad_rows()[A]) in lexicographic order of A: a tuple is
+        kept iff its ad matrix is independent of those kept before it, so
+        len(ad_span()) is the rank of A -> ad_A.
+        """
+        if "ad_span" not in self._cache:
+            d = self.d
+            rows = self.ad_rows()
+            guard(len(rows) * d * d, f"adjoint span({self.name})")
+            eb = linalg.EchelonBasis(d * d)
+            reps = []
+            for a_tuple, mrows in sorted(rows.items()):
+                vec = [0] * (d * d)
+                for l, row in mrows.items():
+                    for s, val in row.items():
+                        vec[(l - 1) * d + (s - 1)] = val
+                if eb.insert(vec):
+                    reps.append((a_tuple, mrows))
+            self._cache["ad_span"] = reps
+        return self._cache["ad_span"]
 
 
 def _group_ad(t: RationalTensor) -> dict:
@@ -328,28 +359,13 @@ def filippov_residual(L: NaryAlgebra) -> RationalTensor:
     return derivation_residual(L, L)
 
 
-def _adjoint_span_representatives(L: NaryAlgebra):
-    """Fundamental-object tuples whose ad matrices span the whole ad space."""
-    d = L.d
-    eb = linalg.EchelonBasis(d * d)
-    reps = []
-    for a_tuple, mrows in sorted(L.ad_rows().items()):
-        vec = [0] * (d * d)
-        for l, row in mrows.items():
-            for s, val in row.items():
-                vec[(l - 1) * d + (s - 1)] = val
-        if eb.insert(vec):
-            reps.append((a_tuple, mrows))
-    return reps
-
-
 def _span_residual(l1: NaryAlgebra, l2: NaryAlgebra) -> dict:
     """First nonzero derivation-residual slice over a spanning set of ad2.
 
     The residual is linear in ad2, so it vanishes on every ad2 iff it
     vanishes on a spanning set: an empty result means ad2 is a derivation.
     """
-    reps = _adjoint_span_representatives(l2)
+    reps = l2.ad_span()
     guard(len(reps) * l1.f.nnz * (l1.n + 1), "adjoint-span derivation check")
     for y_tuple, mrows in reps:
         res = _residual_slice(l1, y_tuple, mrows)

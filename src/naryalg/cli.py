@@ -84,7 +84,7 @@ CHECKS = {
     "fullanti": (lambda L, m: algebra.check_full_antisym_lowered(L, m), _any_arity),
     "cyclic": (lambda L, m: algebra.check_cyclic(L), _any_arity),
     "nple": (lambda L, m: algebra.is_lie_nple(L), _any_arity),
-    "nondegenerate": (lambda L, m: forms.nondegenerate(forms.kasymov(L)), _any_arity),
+    "nondegenerate": (lambda L, m: forms.kasymov_nondegenerate(L), _any_arity),
     "symmetry": (lambda L, m: algebra.check_symmetry_property(L, m), lambda n: n >= 3),
     "triple": (lambda L, m: algebra.is_lie_triple(L), lambda n: n == 3),
     "genmetric": (lambda L, m: algebra.check_generalized_metric_l(L, m), lambda n: n % 2 == 1),
@@ -240,8 +240,8 @@ def _cmd_liealg(args) -> int:
         "from_generators": closure.from_generators,
     }
     if args.kernel:
-        labels, basis = adjoint.ad_kernel(L)
-        out["kernel_dim"] = len(basis)
+        # rank-nullity: the span representatives are a basis of the image of ad
+        out["kernel_dim"] = L.d ** (L.n - 1) - len(L.ad_span())
     if args.centre:
         basis = adjoint.centre(L)
         out["centre_dim"] = len(basis)

@@ -18,7 +18,7 @@ from .algebra import (
     _read_json,
     _write_json,
 )
-from .tensor import RationalTensor, ShapeError, contract, format_rational
+from .tensor import RationalTensor, ShapeError, contract, format_rational, guard
 
 
 @dataclass
@@ -47,31 +47,80 @@ def kasymov(L: NaryAlgebra) -> TraceForm:
     return mixed_trace(L, L)
 
 
+def _rank_report(columns, d: int) -> CheckReport:
+    """Rank-d test of the d-row matrix with the given columns; stops at rank d.
+
+    A failing report carries the first rref basis vector of the radical,
+    the orthogonal complement of the column span.  rref is unique for a row
+    space, so it depends only on that span, not on the columns streamed.
+    """
+    eb = linalg.EchelonBasis(d)
+    for col in columns:
+        if eb.insert(col) and len(eb) == d:
+            break
+    if len(eb) == d:
+        return CheckReport("nondegenerate", True)
+    return CheckReport("nondegenerate", False,
+                       witness=Coordinates(linalg.first_null_vector(eb.rows, d)),
+                       residual=0, detail="radical vector coordinates")
+
+
 def nondegenerate(k: TraceForm) -> CheckReport:
     """Rank-d test of the form flattened over its first slot.
 
     Passing means k(X, basis, .., basis) = 0 forces X = 0.  A failing report
     carries a radical vector's coordinates as its witness.
     """
-    t = k.tensor
     d = k.d
-    if t.rank == 0 or d == 0:
-        return CheckReport("nondegenerate", True)
-    rows: dict = {}
-    for key, val in t.data.items():
-        rows.setdefault(key[0], {})[key[1:]] = val
-    cols = sorted({rest for row in rows.values() for rest in row})
-    col_index = {rest: i for i, rest in enumerate(cols)}
-    mat = [[0] * len(cols) for _ in range(d)]
-    for first, row in rows.items():
-        for rest, val in row.items():
-            mat[first - 1][col_index[rest]] = val
-    if linalg.rank(mat, len(cols) or 1) == d:
-        return CheckReport("nondegenerate", True)
-    radical = linalg.nullspace(linalg.transpose(mat) if cols else [[0] * d], d)
-    vec = Coordinates(radical[0] if radical else (0,) * d)
-    return CheckReport("nondegenerate", False, witness=vec, residual=0,
-                       detail="radical vector coordinates")
+    cols: dict = {}
+    for key, val in k.tensor.data.items():
+        cols.setdefault(key[1:], {})[key[0]] = val
+
+    def columns():
+        for rest in sorted(cols):
+            col = [0] * d
+            for first, val in cols[rest].items():
+                col[first - 1] = val
+            yield col
+
+    return _rank_report(columns(), d)
+
+
+def _trace_product(arows: dict, brows: dict):
+    """Tr(ad_A ad_B) = sum_{l,s} f_{A l}^s f_{B s}^l, from two ad_rows() values."""
+    total = 0
+    for l, row in arows.items():
+        for s, val in row.items():
+            other = brows.get(s)
+            if other and l in other:
+                total += val * other[l]
+    return total
+
+
+def kasymov_nondegenerate(L: NaryAlgebra) -> CheckReport:
+    """nondegenerate(kasymov(L)), decided without building the form.
+
+    The column k(., A', B) of the flattened form, A' = (a2..a_{n-1}), is
+    linear in ad_B, so for each A' the columns with B in L.ad_span() span
+    all of that A''s columns, and each of them is a column of the form.
+    Verdict and witness are those of nondegenerate(kasymov(L)).
+    """
+    d = L.d
+    groups: dict = {}
+    for a_tuple, arows in L.ad_rows().items():
+        groups.setdefault(a_tuple[1:], []).append((a_tuple[0], arows))
+    reps = L.ad_span()
+    guard(len(groups) * len(reps) * d, f"Kasymov rank test({L.name})")
+
+    def columns():
+        for rest in sorted(groups):
+            for _, brows in reps:
+                col = [0] * d
+                for first, arows in groups[rest]:
+                    col[first - 1] = _trace_product(arows, brows)
+                yield col
+
+    return _rank_report(columns(), d)
 
 
 def to_json_dict(k: TraceForm, name: str = "trace-form") -> dict:

@@ -83,18 +83,32 @@ def rref(rows, ncols):
     return mat[:r], pivots
 
 
+def _null_vector(mat, pivots, fc, ncols):
+    """Kernel vector of an rref matrix with free column fc set to 1."""
+    vec = [Fraction(0)] * ncols
+    vec[fc] = Fraction(1)
+    for row, pc in zip(mat, pivots):
+        vec[pc] = -row[fc]
+    return vec
+
+
 def nullspace(rows, ncols):
     """Basis of the right kernel {x : M x = 0}, deterministic order."""
     mat, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(mat, pivots):
-            vec[pc] = -row[fc]
-        basis.append(vec)
-    return basis
+    return [_null_vector(mat, pivots, fc, ncols)
+            for fc in range(ncols) if fc not in pivots]
+
+
+def first_null_vector(rows, ncols):
+    """nullspace(rows, ncols)[0] without building the rest; None if it is empty.
+
+    rref is unique for a row space, so any rows spanning the same space give
+    the same vector.
+    """
+    mat, pivots = rref(rows, ncols)
+    taken = set(pivots)
+    fc = next((c for c in range(ncols) if c not in taken), None)
+    return None if fc is None else _null_vector(mat, pivots, fc, ncols)
 
 
 def invert(matrix):

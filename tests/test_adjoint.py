@@ -171,6 +171,71 @@ class TestClosure:
             assert acc == expect
 
 
+def closure_over_all_generators(L):
+    """Reference lie_closure: inserts the ad matrices of all basis tuples."""
+    d = L.d
+    eb = linalg.EchelonBasis(d * d)
+    basis = []
+
+    def insert(mat):
+        if eb.insert([mat[i][j] for i in range(d) for j in range(d)]):
+            basis.append(mat)
+            return True
+        return False
+
+    rows = L.ad_rows()
+    for indices in sorted(rows):
+        mat = linalg.zeros_matrix(d)
+        for b, row in rows[indices].items():
+            for c, val in row.items():
+                mat[c - 1][b - 1] = val
+        insert(mat)
+    from_generators = len(basis)
+    frontier = list(range(len(basis)))
+    while frontier:
+        fresh = []
+        for i in frontier:
+            for j in range(len(basis)):
+                if i == j:
+                    continue
+                comm = linalg.commutator(basis[i], basis[j])
+                if not linalg.mat_is_zero(comm) and insert(comm):
+                    fresh.append(len(basis) - 1)
+        frontier = fresh
+    return basis, from_generators
+
+
+class TestClosureFromSpan:
+    """lie_closure starts from the cached adjoint span, with the same result."""
+
+    @pytest.mark.parametrize("name", ["A4", "A5", "A6", "cs-so4", "A1+3"])
+    def test_same_as_all_generators(self, name):
+        from naryalg import builtin
+
+        L = builtin(name)
+        closure = lie_closure(L)
+        assert (closure.basis, closure.from_generators) == closure_over_all_generators(L)
+        assert closure.from_generators == len(L.ad_span())
+
+    def test_span_is_computed_once(self, monkeypatch):
+        from naryalg import builtin
+
+        L = builtin("A4")
+        inserts = []
+        real = linalg.EchelonBasis.insert
+
+        def counted(self, vec):
+            inserts.append(len(vec))
+            return real(self, vec)
+
+        monkeypatch.setattr(linalg.EchelonBasis, "insert", counted)
+        lie_closure(L)
+        first = len(inserts)
+        lie_closure(L)
+        # only the first call eliminates the ad matrices of all 12 basis pairs
+        assert first - (len(inserts) - first) == len(L.ad_rows()) == 12
+
+
 class TestKernel:
     def test_a4_kernel_is_symmetric_part(self, a4):
         labels, basis = ad_kernel(a4)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -87,6 +88,16 @@ class TestGenCheckPipeline:
         assert run(["check", str(path), "--suite", "nondegenerate"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["checks"] == [RADICAL_REPORT]
+
+    def test_large_dimension_radical_is_cheap(self, tmp_path, capsys):
+        # Metric inverse and radical used to be dense O(d^2) work per vector
+        path = tmp_path / "zero400.json"
+        assert run(["gen", "--family", "zero", "--n", "2", "--d", "400", "-o", str(path)]) == 0
+        start = time.perf_counter()
+        assert run(["check", str(path), "--suite", "nondegenerate"]) == 1
+        assert time.perf_counter() - start < 10
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"] == [dict(RADICAL_REPORT, witness=["1"] + ["0"] * 399)]
 
     def test_coordinate_witness_renders_as_rationals_whatever_its_type(self):
         # the radical vector reads as rationals even when its values are ints
@@ -225,6 +236,23 @@ class TestOtherVerbs:
         assert out["closure_dim"] == 6
         assert out["kernel_dim"] == 10
         assert out["centre_dim"] == 0
+
+    @pytest.mark.parametrize("name", ["A4", "A5", "A6", "cs-so4"])
+    def test_liealg_kernel_dim_is_rank_nullity(self, name, tmp_path, capsys):
+        from naryalg import ad_kernel
+
+        path = tmp_path / "alg.json"
+        save(builtin(name), path)
+        assert run(["liealg", str(path), "--kernel"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["kernel_dim"] == len(ad_kernel(builtin(name))[1])
+
+    def test_liealg_kernel_beyond_the_ad_kernel_cap(self, tmp_path, capsys, a8):
+        path = tmp_path / "a8.json"
+        save(a8, path)
+        assert run(["liealg", str(path), "--kernel"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["closure_dim"], out["kernel_dim"]) == (28, 8 ** 6 - 28)
 
     def test_young_dim(self, capsys):
         assert run(["young", "dim", "--l", "3", "--r", "1", "--d", "4"]) == 0

@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 from naryalg import (
+    NaryAlgebra,
     RationalTensor,
     ad_matrix,
     basis_object,
+    builtin,
     direct_sum,
     kasymov,
+    kasymov_nondegenerate,
     mixed_trace,
     nondegenerate,
     scale,
@@ -16,6 +19,7 @@ from naryalg import (
     zero_algebra,
 )
 from naryalg import AlgebraFileError, forms, linalg
+from naryalg.tensor import SizeGuardError
 
 
 def trace_of_ads(L1, L2, a_indices, b_indices):
@@ -104,6 +108,73 @@ class TestNondegenerate:
         assert not report.passed
         # the radical vector points along the central generator
         assert report.witness[4] != 0
+
+
+def change_basis(L, new_basis):
+    """L in the basis e'_i = sum_j new_basis[i][j] e_j (rows are the new vectors)."""
+    d, n = L.d, L.n
+    inverse = linalg.invert(linalg.transpose(new_basis))
+    data = {}
+    for idx in itertools.product(range(d), repeat=n):
+        out = [0] * d
+        for key, val in L.f.data.items():
+            coeff = val
+            for i, j in zip(idx, key[:-1]):
+                coeff *= new_basis[i][j - 1]
+            out[key[-1] - 1] += coeff
+        for k in range(d):
+            val = sum(inverse[k][m] * out[m] for m in range(d))
+            if val:
+                data[tuple(i + 1 for i in idx) + (k + 1,)] = val
+    return NaryAlgebra(f"{L.name}'", d, n, RationalTensor((d,) * (n + 1), data))
+
+
+def rescaled_a5():
+    """A5 in the basis e'_j = j e_j: values such as 40/3."""
+    return change_basis(builtin("A5"), [[j if i == j else 0 for j in range(1, 6)]
+                                        for i in range(1, 6)])
+
+
+def sheared_central_sum():
+    """A4 + zero(1,3) in a basis whose radical vector is e'_5 - e'_1."""
+    rows = [[int(i == j) for j in range(5)] for i in range(5)]
+    rows[4][0] = 1
+    return change_basis(direct_sum(builtin("A4"), zero_algebra(1, 3)), rows)
+
+
+class TestKasymovNondegenerate:
+    """The adjoint-span rank test against the materialized form."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: builtin("A4"), lambda: builtin("A5"), lambda: builtin("A6"),
+        lambda: builtin("cs-so4"), lambda: builtin("a4-sum-a4"), lambda: builtin("A1+3"),
+        lambda: zero_algebra(4, 3),
+        lambda: direct_sum(builtin("A4"), zero_algebra(2, 3)),
+        rescaled_a5, sheared_central_sum,
+    ], ids=["A4", "A5", "A6", "cs-so4", "a4-sum-a4", "A1+3", "zero(4,3)",
+            "A4+zero(2,3)", "rescaled-A5", "sheared-A4+zero(1,3)"])
+    def test_agrees_with_materialized_form(self, make):
+        L = make()
+        expected = nondegenerate(kasymov(L))
+        got = kasymov_nondegenerate(L)
+        assert (got.passed, got.witness) == (expected.passed, expected.witness)
+        assert got.as_dict() == expected.as_dict()
+
+    def test_degenerate_witnesses(self):
+        assert kasymov_nondegenerate(direct_sum(builtin("A4"), zero_algebra(2, 3))).witness \
+            == (0, 0, 0, 0, 1, 0)
+        assert kasymov_nondegenerate(sheared_central_sum()).witness == (-1, 0, 0, 0, 1)
+        assert any(v.denominator != 1 for v in rescaled_a5().f.data.values())
+
+    def test_size_guard(self, monkeypatch):
+        # A4: 4 groups A' = (a2,) x 6 span representatives x d = 4 -> 96
+        L = builtin("A4")
+        assert len(L.ad_span()) == 6
+        monkeypatch.setenv("NARY_SIZE_GUARD", "96")
+        assert kasymov_nondegenerate(L).passed
+        monkeypatch.setenv("NARY_SIZE_GUARD", "95")
+        with pytest.raises(SizeGuardError, match="Kasymov rank test"):
+            kasymov_nondegenerate(L)
 
 
 class TestTraceFormIO:

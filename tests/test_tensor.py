@@ -9,6 +9,7 @@ from naryalg.tensor import (
     ShapeError,
     SizeGuardError,
     SlotPermutation,
+    _integral,
     add,
     antisymmetrize,
     contract,
@@ -213,6 +214,27 @@ class TestRaiseLower:
     def test_singular_metric_rejected(self):
         with pytest.raises(ShapeError):
             Metric([[1, 1], [1, 1]])
+        with pytest.raises(ShapeError, match="singular"):
+            Metric.diag([1, 0, 1])
+
+    def test_diagonal_inverse_matches_gauss_jordan(self):
+        from naryalg import linalg
+
+        for diag in ([1, -1, 1], [2, Fraction(1, 3), -5], [Fraction(-2, 7)]):
+            g = Metric.diag(diag)
+            expected = [[_integral(x) for x in row] for row in linalg.invert(g.entries)]
+            assert [list(row) for row in g.inverse] == expected
+            assert [type(x) for row in g.inverse for x in row] == \
+                [type(x) for row in expected for x in row]
+
+    def test_non_diagonal_inverse_is_guarded(self, monkeypatch):
+        # Gauss-Jordan on a 2 x 4 augmented matrix: estimate 2 * 2^3 = 16
+        monkeypatch.setenv("NARY_SIZE_GUARD", "16")
+        Metric([[2, 1], [1, 3]])
+        Metric.diag([2] * 100)
+        monkeypatch.setenv("NARY_SIZE_GUARD", "15")
+        with pytest.raises(SizeGuardError, match="metric inverse"):
+            Metric([[2, 1], [1, 3]])
 
 
 class TestIntegralValues:
