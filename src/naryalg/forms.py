@@ -88,13 +88,8 @@ def nondegenerate(k: TraceForm) -> CheckReport:
 
 def _trace_product(arows: dict, brows: dict):
     """Tr(ad_A ad_B) = sum_{l,s} f_{A l}^s f_{B s}^l, from two ad_rows() values."""
-    total = 0
-    for l, row in arows.items():
-        for s, val in row.items():
-            other = brows.get(s)
-            if other and l in other:
-                total += val * other[l]
-    return total
+    return sum(val * brows[s].get(l, 0) for l, row in arows.items()
+               for s, val in row.items() if s in brows)
 
 
 def kasymov_nondegenerate(L: NaryAlgebra) -> CheckReport:

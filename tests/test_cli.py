@@ -90,7 +90,7 @@ class TestGenCheckPipeline:
         assert report["checks"] == [RADICAL_REPORT]
 
     def test_large_dimension_radical_is_cheap(self, tmp_path, capsys):
-        # Metric inverse and radical used to be dense O(d^2) work per vector
+        # a diagonal metric inverts entry by entry, and only one radical vector is built
         path = tmp_path / "zero400.json"
         assert run(["gen", "--family", "zero", "--n", "2", "--d", "400", "-o", str(path)]) == 0
         start = time.perf_counter()

@@ -142,6 +142,15 @@ def sheared_central_sum():
     return change_basis(direct_sum(builtin("A4"), zero_algebra(1, 3)), rows)
 
 
+def dense_radical(k):
+    """Reference: first kernel vector of the dense transposed flattened form."""
+    d = k.d
+    cols = sorted({key[1:] for key in k.tensor.data})
+    rows = [[k.tensor.get((a,) + rest) for a in range(1, d + 1)] for rest in cols]
+    radical = linalg.nullspace(rows or [[0] * d], d)
+    return tuple(radical[0]) if radical else None
+
+
 class TestKasymovNondegenerate:
     """The adjoint-span rank test against the materialized form."""
 
@@ -155,7 +164,9 @@ class TestKasymovNondegenerate:
             "A4+zero(2,3)", "rescaled-A5", "sheared-A4+zero(1,3)"])
     def test_agrees_with_materialized_form(self, make):
         L = make()
-        expected = nondegenerate(kasymov(L))
+        form = kasymov(L)
+        expected = nondegenerate(form)
+        assert expected.witness == dense_radical(form)
         got = kasymov_nondegenerate(L)
         assert (got.passed, got.witness) == (expected.passed, expected.witness)
         assert got.as_dict() == expected.as_dict()
