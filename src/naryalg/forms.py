@@ -51,7 +51,8 @@ def _rank_report(columns, d: int) -> CheckReport:
     """Rank-d test of the d-row matrix with the given columns; stops at rank d.
 
     A failing report carries the first rref basis vector of the radical,
-    the orthogonal complement of the column span.  rref is unique for a row
+    the orthogonal complement of the column span, read off the same
+    EchelonBasis with no second elimination.  rref is unique for a row
     space, so it depends only on that span, not on the columns streamed.
     """
     eb = linalg.EchelonBasis(d)
@@ -61,7 +62,7 @@ def _rank_report(columns, d: int) -> CheckReport:
     if len(eb) == d:
         return CheckReport("nondegenerate", True)
     return CheckReport("nondegenerate", False,
-                       witness=Coordinates(linalg.first_null_vector(eb.rows, d)),
+                       witness=Coordinates(next(eb.null_vectors())),
                        residual=0, detail="radical vector coordinates")
 
 

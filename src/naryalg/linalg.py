@@ -1,7 +1,7 @@
-"""Small exact linear-algebra helpers (Gaussian elimination over Q).
+"""Small exact linear-algebra helpers over Q.
 
-Vectors are lists/tuples of ints or Fractions, 0-based.  Nothing here is
-clever: the matrices in play are at most a few hundred rows.
+Vectors are lists/tuples of ints or Fractions, 0-based.  EchelonBasis is the
+one Gaussian elimination: rank, nullspace and invert fill one and read it.
 """
 
 from __future__ import annotations
@@ -47,78 +47,69 @@ class EchelonBasis:
         self.pivots.append(piv)
         return True
 
+    def rref(self):
+        """Reduced row-echelon form of the span: (rows, pivots), sorted by pivot.
+
+        Back-substitutes the stored rows once, latest row first; a stored
+        row is already zero at the pivots of the rows before it.
+        """
+        done = {}
+        for row, piv in zip(reversed(self.rows), reversed(self.pivots)):
+            row = list(row)
+            for p, other in done.items():
+                coef = row[p]
+                if coef:
+                    for j in range(p, self.ncols):
+                        if other[j]:
+                            row[j] -= coef * other[j]
+            done[piv] = row
+        pivots = sorted(done)
+        return [done[p] for p in pivots], pivots
+
+    def null_vectors(self):
+        """Kernel basis {x : row . x = 0 for every row}, one per free column.
+
+        Each vector is 1 at its free column and 0 at the other free columns.
+        """
+        rows, pivots = self.rref()
+        taken = set(pivots)
+        for fc in range(self.ncols):
+            if fc not in taken:
+                vec = [Fraction(0)] * self.ncols
+                vec[fc] = Fraction(1)
+                for row, pc in zip(rows, pivots):
+                    vec[pc] = -row[fc]
+                yield vec
+
+
+def _filled(rows, ncols) -> EchelonBasis:
+    eb = EchelonBasis(ncols)
+    for r in rows:
+        eb.insert(r)
+    return eb
+
 
 def rank(rows, ncols=None) -> int:
     rows = [list(r) for r in rows]
     if not rows:
         return 0
-    if ncols is None:
-        ncols = len(rows[0])
-    eb = EchelonBasis(ncols)
-    for r in rows:
-        eb.insert(r)
-    return len(eb)
-
-
-def rref(rows, ncols):
-    """Reduced row-echelon form; returns (rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = Fraction(1, 1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                coef = mat[i][c]
-                mat[i] = [a - coef * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def _null_vector(mat, pivots, fc, ncols):
-    """Kernel vector of an rref matrix with free column fc set to 1."""
-    vec = [Fraction(0)] * ncols
-    vec[fc] = Fraction(1)
-    for row, pc in zip(mat, pivots):
-        vec[pc] = -row[fc]
-    return vec
+    return len(_filled(rows, len(rows[0]) if ncols is None else ncols))
 
 
 def nullspace(rows, ncols):
     """Basis of the right kernel {x : M x = 0}, deterministic order."""
-    mat, pivots = rref(rows, ncols)
-    return [_null_vector(mat, pivots, fc, ncols)
-            for fc in range(ncols) if fc not in pivots]
-
-
-def first_null_vector(rows, ncols):
-    """nullspace(rows, ncols)[0] without building the rest; None if it is empty.
-
-    rref is unique for a row space, so any rows spanning the same space give
-    the same vector.
-    """
-    mat, pivots = rref(rows, ncols)
-    taken = set(pivots)
-    fc = next((c for c in range(ncols) if c not in taken), None)
-    return None if fc is None else _null_vector(mat, pivots, fc, ncols)
+    return list(_filled(rows, ncols).null_vectors())
 
 
 def invert(matrix):
     """Exact inverse of a square matrix; raises SingularMatrixError."""
     n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    reduced, pivots = rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
+    eb = _filled((list(row) + [Fraction(int(i == j)) for j in range(n)]
+                  for i, row in enumerate(matrix)), 2 * n)
+    rows, pivots = eb.rref()
+    if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in reduced]
+    return [row[n:] for row in rows]
 
 
 def mat_mul(a, b):

@@ -102,10 +102,6 @@ class RationalTensor:
             if not 1 <= i <= dim:
                 raise ShapeError(f"index {key} out of range for shape {self.shape}")
 
-    @classmethod
-    def zeros(cls, shape) -> "RationalTensor":
-        return cls(shape)
-
     @property
     def rank(self) -> int:
         return len(self.shape)

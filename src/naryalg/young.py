@@ -21,6 +21,7 @@ from .tensor import (
     SizeGuardError,
     _acc,
     antisymmetrize,
+    guard,
     symmetrize,
 )
 
@@ -193,7 +194,8 @@ def isotypic_project(t: RationalTensor, slots, shape,
     """Central idempotent (chi(id)/l!) sum_sigma chi(sigma) sigma.t on the slots.
 
     Exact and filling-independent; zero output means t has no component of
-    that symmetry type.  The l! permutation sweep is gated by a work budget.
+    that symmetry type.  The l! permutation sweep is gated by the size guard
+    and by a work budget; force lifts only the budget.
     """
     slots = tuple(slots)
     lam = shape.partition() if isinstance(shape, YoungShape) else tuple(shape)
@@ -201,9 +203,11 @@ def isotypic_project(t: RationalTensor, slots, shape,
     if sum(lam) != l:
         raise ShapeError(f"shape {lam} does not fill {l} slots")
     work = math.factorial(l) * max(t.nnz, 1)
+    guard(work, "isotypic projection")
     if not force and work > ISOTYPIC_PERMUTATION_BUDGET:
         raise BudgetExceededError(
-            f"isotypic projection needs {work} operations; pass force=True to run"
+            f"isotypic projection: {work} operations exceed budget "
+            f"{ISOTYPIC_PERMUTATION_BUDGET}; pass force=True to run"
         )
     chi = SymmetricGroupCharacter.for_shape(lam).table
     chi_id = chi[(1,) * l]

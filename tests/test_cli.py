@@ -296,4 +296,14 @@ class TestErrorPaths:
         path = tmp_path / "seven.json"
         save(seven_leibniz, path)
         assert run(["young", "classify", str(path)]) == 3
-        capsys.readouterr()
+        assert "87091200 operations exceed budget 10000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["default", "force"])
+    def test_isotypic_sweep_obeys_size_guard(self, monkeypatch, a4_file, capsys, force):
+        # A4: 3! permutations x 24 entries = 144 operations; --force lifts only the budget
+        monkeypatch.setenv("NARY_SIZE_GUARD", "144")
+        assert run(["young", "classify", *force, str(a4_file)]) == 0
+        monkeypatch.setenv("NARY_SIZE_GUARD", "100")
+        assert run(["young", "classify", *force, str(a4_file)]) == 3
+        assert "isotypic projection: 144 exceeds size guard 100" in capsys.readouterr().err
+

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from naryalg import (
-    NaryAlgebra,
     RationalTensor,
     ad_matrix,
     basis_object,
@@ -20,6 +19,8 @@ from naryalg import (
 )
 from naryalg import AlgebraFileError, forms, linalg
 from naryalg.tensor import SizeGuardError
+
+from change_of_basis import change_basis
 
 
 def trace_of_ads(L1, L2, a_indices, b_indices):
@@ -108,25 +109,6 @@ class TestNondegenerate:
         assert not report.passed
         # the radical vector points along the central generator
         assert report.witness[4] != 0
-
-
-def change_basis(L, new_basis):
-    """L in the basis e'_i = sum_j new_basis[i][j] e_j (rows are the new vectors)."""
-    d, n = L.d, L.n
-    inverse = linalg.invert(linalg.transpose(new_basis))
-    data = {}
-    for idx in itertools.product(range(d), repeat=n):
-        out = [0] * d
-        for key, val in L.f.data.items():
-            coeff = val
-            for i, j in zip(idx, key[:-1]):
-                coeff *= new_basis[i][j - 1]
-            out[key[-1] - 1] += coeff
-        for k in range(d):
-            val = sum(inverse[k][m] * out[m] for m in range(d))
-            if val:
-                data[tuple(i + 1 for i in idx) + (k + 1,)] = val
-    return NaryAlgebra(f"{L.name}'", d, n, RationalTensor((d,) * (n + 1), data))
 
 
 def rescaled_a5():
