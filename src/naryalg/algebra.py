@@ -614,13 +614,19 @@ def _metric_from_json(obj, d: int) -> Metric:
     raise AlgebraFileError("metric needs 'diag' or 'matrix'")
 
 
-def to_json_dict(L: NaryAlgebra) -> dict:
+def _header(L: NaryAlgebra) -> dict:
+    """Every field of the algebra file except "entries"."""
     out = {"name": L.name, "dim": L.d, "arity": L.n}
     metric = _metric_to_json(L.metric)
     if metric is not None:
         out["metric"] = metric
     if not L.verified:
         out["verified"] = False
+    return out
+
+
+def to_json_dict(L: NaryAlgebra) -> dict:
+    out = _header(L)
     out["entries"] = [
         {"in": list(key[:-1]), "out": key[-1], "val": format_rational(val)}
         for key, val in L.f.entries()
@@ -673,10 +679,42 @@ def from_json_dict(obj: dict) -> NaryAlgebra:
     return L
 
 
-def _write_json(obj: dict, path) -> None:
+# Entries per write() call of the streamed writer.
+_WRITE_CHUNK = 4096
+
+
+def _entry_template(rank: int, with_out: bool) -> str:
+    """%-template of one entry as json.dump(indent=1) lays it out in "entries"."""
+    n_in = rank - 1 if with_out else rank
+    inputs = ",\n".join(["    %d"] * n_in)
+    lines = ['  {', '   "in": [\n' + inputs + '\n   ],' if n_in else '   "in": [],']
+    if with_out:
+        lines.append('   "out": %d,')
+    lines += ['   "val": "%s"', '  }']
+    return "\n".join(lines)
+
+
+def _write_file(header: dict, t: RationalTensor, path, with_out: bool) -> None:
+    """Write header plus t's entries, byte for byte as json.dump(indent=1) and a
+    newline would write them with the entries last.
+
+    The header goes through json, so its escaping and layout are json's.  The
+    entries hold only ints and rational literals, which need no escaping, so
+    they are formatted from a fixed template and written in chunks.  With
+    with_out the last index of a key is written as "out".
+    """
+    head = json.dumps(header, indent=1)
+    keys = sorted(t.data)
+    data = t.data
+    template = _entry_template(t.rank, with_out)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(head[:-2])                 # drop the closing "\n}"
+        fh.write(',\n "entries": [')
+        for start in range(0, len(keys), _WRITE_CHUNK):
+            fh.write(",\n" if start else "\n")
+            fh.write(",\n".join([template % (key + (format_rational(data[key]),))
+                                 for key in keys[start:start + _WRITE_CHUNK]]))
+        fh.write("\n ]\n}\n" if keys else "]\n}\n")
 
 
 def _read_json(path):
@@ -688,7 +726,7 @@ def _read_json(path):
 
 
 def save(L: NaryAlgebra, path) -> None:
-    _write_json(to_json_dict(L), path)
+    _write_file(_header(L), L.f, path, with_out=True)
 
 
 def load(path) -> NaryAlgebra:

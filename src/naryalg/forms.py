@@ -16,7 +16,7 @@ from .algebra import (
     NaryAlgebra,
     _read_entries,
     _read_json,
-    _write_json,
+    _write_file,
 )
 from .tensor import RationalTensor, ShapeError, contract, format_rational, guard
 
@@ -119,18 +119,17 @@ def kasymov_nondegenerate(L: NaryAlgebra) -> CheckReport:
     return _rank_report(columns(), d)
 
 
+def _header(k: TraceForm, name: str) -> dict:
+    """Every field of the trace form file except "entries"."""
+    return {"name": name, "dim": k.d, "slots": k.tensor.rank,
+            "arity1": k.arity1, "arity2": k.arity2}
+
+
 def to_json_dict(k: TraceForm, name: str = "trace-form") -> dict:
-    return {
-        "name": name,
-        "dim": k.d,
-        "slots": k.tensor.rank,
-        "arity1": k.arity1,
-        "arity2": k.arity2,
-        "entries": [
-            {"in": list(key), "val": format_rational(val)}
-            for key, val in k.tensor.entries()
-        ],
-    }
+    out = _header(k, name)
+    out["entries"] = [{"in": list(key), "val": format_rational(val)}
+                      for key, val in k.tensor.entries()]
+    return out
 
 
 def from_json_dict(obj: dict) -> TraceForm:
@@ -149,7 +148,7 @@ def from_json_dict(obj: dict) -> TraceForm:
 
 
 def save(k: TraceForm, path, name: str = "trace-form") -> None:
-    _write_json(to_json_dict(k, name), path)
+    _write_file(_header(k, name), k.tensor, path, with_out=False)
 
 
 def load(path) -> TraceForm:

@@ -5,7 +5,10 @@ dense arrays: absent entries are exactly zero.  All index tuples and slot
 numbers are 1-based, matching the usual structure-constant conventions.
 Integral values are Python ints, all others ``fractions.Fraction``s:
 parsing and metrics keep integral data as ints, which keeps the hot kernels
-on int arithmetic.  Arithmetic is exact and zeros are never stored.
+on int arithmetic.  ``contract`` goes further: it multiplies each operand by
+the lcm of its value denominators, multiplies and sums ints only, and divides
+each output entry once, so rational inputs cost little more than integral
+ones.  Arithmetic is exact and zeros are never stored.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import itertools
 import math
 import os
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,6 +73,8 @@ def parse_rational(text: str):
 
 
 def format_rational(value) -> str:
+    if type(value) is int:
+        return str(value)
     return str(Fraction(value))
 
 
@@ -94,6 +100,18 @@ class RationalTensor:
                 key = tuple(key)
                 self._check_key(key)
                 self.data[key] = val
+
+    @classmethod
+    def _trusted(cls, shape: tuple, data: dict) -> "RationalTensor":
+        """A tensor on data a kernel derived from validated tensors.
+
+        shape must be a tuple of ints, and data must hold only in-range keys
+        of matching rank and no zero values: nothing is checked again.
+        """
+        t = object.__new__(cls)
+        t.shape = shape
+        t.data = data
+        return t
 
     def _check_key(self, key) -> None:
         if len(key) != len(self.shape):
@@ -231,13 +249,13 @@ def permute(t: RationalTensor, p) -> RationalTensor:
         for s in range(t.rank):
             new[dest[s] - 1] = key[s]
         out[tuple(new)] = val
-    return RationalTensor(tuple(shape), out)
+    return RationalTensor._trusted(tuple(shape), out)
 
 
 def scale(t: RationalTensor, c) -> RationalTensor:
     if c == 0:
         return RationalTensor(t.shape)
-    return RationalTensor(t.shape, {k: v * c for k, v in t.data.items()})
+    return RationalTensor._trusted(t.shape, {k: v * c for k, v in t.data.items()})
 
 
 def add(t1: RationalTensor, t2: RationalTensor) -> RationalTensor:
@@ -246,7 +264,7 @@ def add(t1: RationalTensor, t2: RationalTensor) -> RationalTensor:
     out = dict(t1.data)
     for key, val in t2.data.items():
         _acc(out, key, val)
-    return RationalTensor(t1.shape, out)
+    return RationalTensor._trusted(t1.shape, out)
 
 
 def is_zero(t: RationalTensor) -> bool:
@@ -277,26 +295,50 @@ def contract(t1, slots1, t2, slots2, metric=None) -> RationalTensor:
     free2 = [s for s in range(1, t2.rank + 1) if s not in slots2]
     shape = tuple(t1.shape[s - 1] for s in free1) + tuple(t2.shape[s - 1] for s in free2)
 
+    den1, data1 = _scaled_to_ints(t1.data)
+    den2, data2 = _scaled_to_ints(t2.data)
     groups = {}
-    for key, val in t2.data.items():
+    for key, val in data2.items():
         bound = tuple(key[s - 1] for s in slots2)
         groups.setdefault(bound, []).append((tuple(key[s - 1] for s in free2), val))
 
+    rows = {}
     work = 0
+    for key, val in data1.items():
+        matches = groups.get(tuple(key[s - 1] for s in slots1))
+        if matches:
+            work += len(matches)
+            rows.setdefault(tuple(key[s - 1] for s in free1), []).append((val, matches))
     cap = size_guard_cap()
+    if work > cap:
+        raise SizeGuardError(f"contract: {work} products exceed size guard {cap}")
+    den = den1 * den2
     out = {}
-    for key, val in t1.data.items():
-        bound = tuple(key[s - 1] for s in slots1)
-        matches = groups.get(bound)
-        if not matches:
-            continue
-        work += len(matches)
-        if work > cap:
-            raise SizeGuardError(f"contract: {work} products exceed size guard {cap}")
-        head = tuple(key[s - 1] for s in free1)
-        for tail, val2 in matches:
-            _acc(out, head + tail, val * val2)
-    return RationalTensor(shape, out)
+    for head, terms in rows.items():
+        acc = defaultdict(int)
+        for val, matches in terms:
+            for tail, val2 in matches:
+                acc[tail] += val * val2
+        for tail, val in acc.items():
+            if val:
+                if den != 1:
+                    q, r = divmod(val, den)
+                    val = Fraction(val, den) if r else q
+                out[head + tail] = val
+    return RationalTensor._trusted(shape, out)
+
+
+def _scaled_to_ints(data: dict):
+    """(D, {key: D * value}) for D the lcm of the values' denominators.
+
+    The scaled values are ints, so products and sums over them stay on int
+    arithmetic; dividing a result by the product of the D's is exact.
+    """
+    dens = {val.denominator for val in data.values() if type(val) is not int}
+    if not dens:
+        return 1, data
+    den = math.lcm(*dens)
+    return den, {key: val.numerator * (den // val.denominator) for key, val in data.items()}
 
 
 def antisymmetrize(t, slots, normalized: bool = False) -> RationalTensor:
@@ -323,7 +365,7 @@ def _symmetrize(t, slots, normalized: bool, signed: bool, what: str) -> Rational
     if len(dims) > 1:
         raise ShapeError(f"slots {slots} have mixed dimensions {sorted(dims)}")
     if k <= 1:
-        return RationalTensor(t.shape, dict(t.data))
+        return RationalTensor._trusted(t.shape, dict(t.data))
     reps = {}
     for key, val in t.data.items():
         sub = tuple(key[s - 1] for s in slots)
@@ -349,7 +391,7 @@ def _symmetrize(t, slots, normalized: bool, signed: bool, what: str) -> Rational
             for s, i in zip(slots, perm):
                 key[s - 1] = i
             out[tuple(key)] = _parity(perm) * val if signed else val
-    return RationalTensor(t.shape, out)
+    return RationalTensor._trusted(t.shape, out)
 
 
 def raise_lower(t, slot, metric, direction: str) -> RationalTensor:
@@ -370,4 +412,4 @@ def raise_lower(t, slot, metric, direction: str) -> RationalTensor:
             new = list(key)
             new[slot - 1] = j
             _acc(out, tuple(new), val * g)
-    return RationalTensor(t.shape, out)
+    return RationalTensor._trusted(t.shape, {key: _integral(val) for key, val in out.items()})

@@ -2,8 +2,10 @@
 and invariants across bases."""
 
 import itertools
+import math
+from fractions import Fraction
 
-from naryalg import NaryAlgebra, RationalTensor, linalg
+from naryalg import Metric, NaryAlgebra, RationalTensor, linalg
 
 
 def change_basis(L, new_basis):
@@ -23,3 +25,17 @@ def change_basis(L, new_basis):
             if val:
                 data[tuple(i + 1 for i in idx) + (k + 1,)] = val
     return NaryAlgebra(f"{L.name}'", d, n, RationalTensor((d,) * (n + 1), data))
+
+
+def rescale(L, t):
+    """L in the basis e'_j = t[j-1] e_j, values stored as a loaded file stores
+    them; a metric g becomes t_i t_j g_ij."""
+    data = {}
+    for key, val in L.f.data.items():
+        val = Fraction(val * math.prod(t[i - 1] for i in key[:-1]), t[key[-1] - 1])
+        data[key] = val.numerator if val.denominator == 1 else val
+    metric = None
+    if L.metric is not None:
+        g = L.metric.entries
+        metric = Metric([[t[i] * t[j] * g[i][j] for j in range(L.d)] for i in range(L.d)])
+    return NaryAlgebra(f"{L.name}*t", L.d, L.n, RationalTensor(L.f.shape, data), metric)

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from naryalg import (
+    ConstructionInput,
     RationalTensor,
     ad_matrix,
+    associated_leibniz,
     basis_object,
     builtin,
     direct_sum,
@@ -20,7 +22,7 @@ from naryalg import (
 from naryalg import AlgebraFileError, forms, linalg
 from naryalg.tensor import SizeGuardError
 
-from change_of_basis import change_basis
+from change_of_basis import change_basis, rescale
 
 
 def trace_of_ads(L1, L2, a_indices, b_indices):
@@ -92,6 +94,25 @@ class TestMixedTrace:
             L = simple_filippov(n, [1] * (n + 1))
             half = scale(mixed_trace(L, L).tensor, Fraction(1, 2))
             assert half == signed_delta_tensor(n, n + 1)
+
+
+class TestValueRule:
+    """Integral values are ints and all others Fractions, also when the
+    inputs carry non-integral values."""
+
+    def test_forms_and_construction_on_rescaled_inputs(self, a4, a6, cs):
+        r6, s6 = rescale(a6, (1, 2, 3, 4, 5, 6)), rescale(a6, (3, 1, 6, 2, 5, 4))
+        r4, rcs = rescale(a4, (1, 2, 3, 4)), rescale(cs, (1, 2, 3, 4))
+        tensors = [
+            kasymov(r6).tensor,
+            mixed_trace(r6, s6).tensor,
+            associated_leibniz(ConstructionInput(r4, r4, r4.metric)).f,
+            associated_leibniz(ConstructionInput(r4, rcs, r4.metric, Fraction(3, 2))).f,
+        ]
+        for t in tensors:
+            assert all(type(v) is (int if v.denominator == 1 else Fraction)
+                       for v in t.data.values())
+        assert {type(v) for t in tensors for v in t.data.values()} == {int, Fraction}
 
 
 class TestNondegenerate:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naryalg.tensor import (
     RationalTensor,
@@ -135,6 +137,87 @@ class TestContract:
 
                 expect = scale(generalized_delta(d, m), math.factorial(k))
                 assert got == expect
+
+
+# Nonzero ints and Fractions whose denominators repeat across entries.
+exact_values = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.sampled_from([2, 3, 4, 6])),
+)
+# Symmetric, non-diagonal (except at d = 1), rational and invertible.
+METRICS = {
+    1: Metric([[Fraction(-2, 3)]]),
+    2: Metric([[2, Fraction(1, 2)], [Fraction(1, 2), 1]]),
+    3: Metric([[2, Fraction(1, 2), 0], [Fraction(1, 2), 1, 1], [0, 1, Fraction(-1, 3)]]),
+}
+
+
+@st.composite
+def contraction_cases(draw):
+    d = draw(st.integers(1, 3))
+    r1, r2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    k = draw(st.integers(0, min(r1, r2)))
+    slots1 = tuple(draw(st.permutations(range(1, r1 + 1)))[:k])
+    slots2 = tuple(draw(st.permutations(range(1, r2 + 1)))[:k])
+
+    def tensor(rank):
+        keys = st.tuples(*[st.integers(1, d)] * rank)
+        return RationalTensor((d,) * rank, draw(st.dictionaries(keys, exact_values, max_size=10)))
+
+    metric = METRICS[d] if draw(st.booleans()) else None
+    return tensor(r1), slots1, tensor(r2), slots2, metric
+
+
+def reference_contract(t1, slots1, t2, slots2, metric=None):
+    """Dense sum over every index, in Fractions: t1[.a.] t2[.b.] (g^-1)_ab."""
+    d = (t1.shape or t2.shape or (1,))[0]
+    free1 = [s for s in range(1, t1.rank + 1) if s not in slots1]
+    free2 = [s for s in range(1, t2.rank + 1) if s not in slots2]
+    indices = range(1, d + 1)
+
+    def key(rank, free, slots, head, bound):
+        out = [0] * rank
+        for s, i in zip(list(free) + list(slots), head + bound):
+            out[s - 1] = i
+        return tuple(out)
+
+    out = {}
+    for head in itertools.product(indices, repeat=len(free1)):
+        for tail in itertools.product(indices, repeat=len(free2)):
+            total = Fraction(0)
+            for a in itertools.product(indices, repeat=len(slots1)):
+                for b in itertools.product(indices, repeat=len(slots2)) if metric else (a,):
+                    weight = Fraction(1)
+                    if metric:
+                        for i, j in zip(a, b):
+                            weight *= Fraction(metric.inverse[i - 1][j - 1])
+                    total += (Fraction(t1.get(key(t1.rank, free1, slots1, head, a)))
+                              * Fraction(t2.get(key(t2.rank, free2, slots2, tail, b))) * weight)
+            if total:
+                out[head + tail] = total
+    return out
+
+
+class TestContractDifferential:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(contraction_cases())
+    def test_matches_fraction_reference(self, case):
+        t1, slots1, t2, slots2, metric = case
+        got = contract(t1, slots1, t2, slots2, metric=metric)
+        assert got.data == reference_contract(t1, slots1, t2, slots2, metric)
+        assert all(type(v) is (int if v.denominator == 1 else Fraction)
+                   for v in got.data.values())
+
+
+class TestConstructor:
+    def test_public_constructor_validates_keys_and_drops_zeros(self):
+        with pytest.raises(ShapeError, match="wrong rank"):
+            RationalTensor((2, 2), {(1,): 1})
+        for key in ((1, 3), (0, 1)):
+            with pytest.raises(ShapeError, match="out of range"):
+                RationalTensor((2, 2), {key: 1})
+        t = RationalTensor((2, 2), {(1, 1): 0, (1, 2): Fraction(0), (2, 2): 5})
+        assert t.data == {(2, 2): 5}
 
 
 class TestSymmetrizers:
