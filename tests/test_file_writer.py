@@ -34,10 +34,6 @@ def assert_same_file(save, to_json_dict, obj, tmp_path, *args):
     assert json.loads(path.read_text(encoding="utf-8")) == expect
 
 
-def rescaled_a6():
-    return rescale(builtin("A6"), (1, 2, 3, 4, 5, 6))
-
-
 def algebras():
     a4, a5 = builtin("A4"), builtin("A5")
     metric = Metric([[2, Fraction(1, 2), 0, 0], [Fraction(1, 2), 1, 0, 0],
@@ -63,7 +59,7 @@ def test_algebra_file_matches_json_dump(name, tmp_path):
 
 
 def test_trace_form_files_match_json_dump(tmp_path):
-    r6 = rescaled_a6()
+    r6 = rescale(builtin("A6"), (1, 2, 3, 4, 5, 6))
     s6 = rescale(builtin("A6"), (3, 1, 6, 2, 5, 4))
     cases = [
         (forms.kasymov(r6), "kasymov(A6*t)"),

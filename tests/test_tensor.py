@@ -170,7 +170,7 @@ def contraction_cases(draw):
 
 def reference_contract(t1, slots1, t2, slots2, metric=None):
     """Dense sum over every index, in Fractions: t1[.a.] t2[.b.] (g^-1)_ab."""
-    d = (t1.shape or t2.shape or (1,))[0]
+    d = t1.shape[0]
     free1 = [s for s in range(1, t1.rank + 1) if s not in slots1]
     free2 = [s for s in range(1, t2.rank + 1) if s not in slots2]
     indices = range(1, d + 1)
