@@ -26,11 +26,6 @@ from .tensor import (
     raise_lower,
 )
 
-# Above this many elementary products the filippov check switches from
-# materializing the residual tensor to the adjoint-span derivation check.
-FULL_RESIDUAL_WORK_LIMIT = 5_000_000
-
-
 class AlgebraFileError(ValueError):
     """Malformed algebra/trace-form file."""
 
@@ -330,10 +325,6 @@ def _residual_slice(l1: NaryAlgebra, y: tuple, mrows: dict) -> dict:
     return {key[:-1] + y + (key[-1],): val for key, val in acc.items()}
 
 
-def _derivation_work(l1: NaryAlgebra, l2: NaryAlgebra) -> int:
-    return len(l2.ad_rows()) * l1.f.nnz * (l1.n + 1)
-
-
 def derivation_residual(l1: NaryAlgebra, l2: NaryAlgebra) -> RationalTensor:
     """Residual of 'ad2 is a derivation of l1'.
 
@@ -342,7 +333,7 @@ def derivation_residual(l1: NaryAlgebra, l2: NaryAlgebra) -> RationalTensor:
     """
     if l1.d != l2.d:
         raise ShapeError(f"dimension mismatch {l1.d} != {l2.d}")
-    guard(_derivation_work(l1, l2), "derivation_residual")
+    guard(len(l2.ad_rows()) * l1.f.nnz * (l1.n + 1), "derivation_residual")
     out: dict = {}
     for y_tuple, mrows in sorted(l2.ad_rows().items()):
         out.update(_residual_slice(l1, y_tuple, mrows))
@@ -359,50 +350,46 @@ def filippov_residual(L: NaryAlgebra) -> RationalTensor:
     return derivation_residual(L, L)
 
 
-def _span_residual(l1: NaryAlgebra, l2: NaryAlgebra) -> dict:
-    """First nonzero derivation-residual slice over a spanning set of ad2.
+def _derivation_report(name: str, l1: NaryAlgebra, l2: NaryAlgebra) -> CheckReport:
+    """Exact check that every ad of l2 is a derivation of l1.
 
-    The residual is linear in ad2, so it vanishes on every ad2 iff it
-    vanishes on a spanning set: an empty result means ad2 is a derivation.
+    The residual is linear in ad2, so it vanishes iff it vanishes on the
+    slices of l2.ad_span().  Each ad2 outside that span is a combination of
+    span members that precede it lexicographically, so wherever the full
+    residual is nonzero at some input tuple, its least such ad2 tuple is a
+    span member: the least first entry over the span slices is the full
+    residual's lexicographically first nonzero entry.
     """
+    if l1.d != l2.d:
+        raise ShapeError(f"dimension mismatch {l1.d} != {l2.d}")
     reps = l2.ad_span()
     guard(len(reps) * l1.f.nnz * (l1.n + 1), "adjoint-span derivation check")
+    firsts = {}
     for y_tuple, mrows in reps:
         res = _residual_slice(l1, y_tuple, mrows)
         if res:
-            return res
-    return {}
+            key = min(res)
+            firsts[key] = res[key]
+    return _zero_report(name, firsts)
 
 
 def check_derivation(l1: NaryAlgebra, l2: NaryAlgebra) -> CheckReport:
     """Exact check that every ad of l2 is a derivation of l1.
 
-    Large pairs first run the adjoint-span check; a failure (or a small pair)
-    materializes the full residual, so the witness is always its
-    lexicographically first nonzero entry.
+    Decided on a spanning set of l2's adjoint matrices; a failing report
+    carries the first nonzero entry of derivation_residual(l1, l2).
     """
-    if l1.d != l2.d:
-        raise ShapeError(f"dimension mismatch {l1.d} != {l2.d}")
-    if _derivation_work(l1, l2) > FULL_RESIDUAL_WORK_LIMIT and not _span_residual(l1, l2):
-        return CheckReport("derivation", True)
-    return _zero_report("derivation", derivation_residual(l1, l2).data)
+    return _derivation_report("derivation", l1, l2)
 
 
 def check_filippov(L: NaryAlgebra) -> CheckReport:
-    """Exact FI check, computed once per algebra.
+    """Exact FI check, check_derivation(L, L), computed once per algebra.
 
-    Small algebras materialize the full residual (witness = lexicographically
-    first nonzero residual entry).  Large ones use the equivalent derivation
-    check over a spanning set of adjoint matrices.
+    A failing report carries the first nonzero entry of filippov_residual(L).
     """
     report = L._cache.get("filippov")
     if report is None:
-        if _derivation_work(L, L) <= FULL_RESIDUAL_WORK_LIMIT:
-            report = _zero_report("filippov", filippov_residual(L).data)
-        else:
-            report = _zero_report("filippov", _span_residual(L, L),
-                                  "adjoint-span derivation check")
-        L._cache["filippov"] = report
+        report = L._cache["filippov"] = _derivation_report("filippov", L, L)
     return report
 
 

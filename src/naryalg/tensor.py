@@ -255,7 +255,7 @@ def permute(t: RationalTensor, p) -> RationalTensor:
 def scale(t: RationalTensor, c) -> RationalTensor:
     if c == 0:
         return RationalTensor(t.shape)
-    return RationalTensor._trusted(t.shape, {k: v * c for k, v in t.data.items()})
+    return RationalTensor._trusted(t.shape, {k: _integral(v * c) for k, v in t.data.items()})
 
 
 def add(t1: RationalTensor, t2: RationalTensor) -> RationalTensor:
@@ -309,9 +309,7 @@ def contract(t1, slots1, t2, slots2, metric=None) -> RationalTensor:
         if matches:
             work += len(matches)
             rows.setdefault(tuple(key[s - 1] for s in free1), []).append((val, matches))
-    cap = size_guard_cap()
-    if work > cap:
-        raise SizeGuardError(f"contract: {work} products exceed size guard {cap}")
+    guard(work, "contract")
     den = den1 * den2
     out = {}
     for head, terms in rows.items():
@@ -384,7 +382,7 @@ def _symmetrize(t, slots, normalized: bool, signed: bool, what: str) -> Rational
     for rep, val in reps.items():
         srt = tuple(rep[s - 1] for s in slots)
         stab = math.prod(math.factorial(srt.count(i)) for i in set(srt))
-        val = val * (Fraction(stab, math.factorial(k)) if normalized else stab)
+        val = _integral(val * Fraction(stab, math.factorial(k))) if normalized else val * stab
         perms = itertools.permutations(srt)
         for perm in perms if signed else set(perms):
             key = list(rep)

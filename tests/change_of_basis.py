@@ -1,11 +1,11 @@
-"""Basis changes of an algebra, shared by the tests that compare verdicts
-and invariants across bases."""
+"""Basis changes and perturbations of an algebra, shared by the tests that
+compare verdicts, invariants and reports across inputs."""
 
 import itertools
 import math
 from fractions import Fraction
 
-from naryalg import Metric, NaryAlgebra, RationalTensor, linalg
+from naryalg import Metric, NaryAlgebra, RationalTensor, builtin, linalg
 
 
 def change_basis(L, new_basis):
@@ -39,3 +39,15 @@ def rescale(L, t):
         g = L.metric.entries
         metric = Metric([[t[i] * t[j] * g[i][j] for j in range(L.d)] for i in range(L.d)])
     return NaryAlgebra(f"{L.name}*t", L.d, L.n, RationalTensor(L.f.shape, data), metric)
+
+
+def perturb(L, key, value):
+    """L with the structure constant at key set to value, metric kept."""
+    data = dict(L.f.data)
+    data[key] = value
+    return NaryAlgebra(f"{L.name}-perturbed", L.d, L.n, RationalTensor(L.f.shape, data), L.metric)
+
+
+def perturbed_a4():
+    """A_4 with one structure constant changed to 2 (breaks the FI)."""
+    return perturb(builtin("A4"), (1, 2, 3, 4), 2)

@@ -2,12 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naryalg import (
     AlgebraFileError,
     Metric,
     NaryAlgebra,
     RationalTensor,
+    builtin,
     check_derivation,
     check_filippov,
     check_full_antisym_lowered,
@@ -30,18 +33,10 @@ from naryalg import (
     simple_filippov,
     zero_algebra,
 )
-from naryalg.algebra import from_json_dict, to_json_dict
+from naryalg.algebra import _zero_report, from_json_dict, to_json_dict
+from naryalg.tensor import _integral
 
-
-def perturbed_a4():
-    """A_4 with one structure constant changed to 2 (breaks the FI)."""
-    from naryalg import builtin
-
-    a4 = builtin("A4")
-    data = dict(a4.f.data)
-    data[(1, 2, 3, 4)] = 2
-    bad = NaryAlgebra("A4-perturbed", 4, 3, RationalTensor((4,) * 4, data), a4.metric)
-    return bad
+from change_of_basis import perturb, perturbed_a4
 
 
 class TestSimpleFilippov:
@@ -90,6 +85,20 @@ class TestDirectSum:
         assert combined.d == a4.d
 
 
+def assert_reports_are_first_residual_entries(pairs):
+    """check_derivation, and check_filippov on (L, L), against the
+    materialized residual: same verdict, witness and residual."""
+    for l1, l2 in pairs:
+        full = derivation_residual(l1, l2)
+        reports = [check_derivation(l1, l2)] + ([check_filippov(l1)] if l1 is l2 else [])
+        for report in reports:
+            expected = _zero_report(report.name, full.data)
+            assert report.passed == expected.passed == is_zero(full)
+            assert (report.witness, report.residual) == (expected.witness, expected.residual)
+            if not report.passed:
+                assert full.get(report.witness) == report.residual != 0
+
+
 class TestFilippovIdentity:
     def test_zero_for_fixtures(self, a4, cs):
         assert is_zero(filippov_residual(a4))
@@ -103,35 +112,49 @@ class TestFilippovIdentity:
         res = filippov_residual(perturbed_a4())
         assert res.get(report.witness) == report.residual != 0
 
-    def test_span_path_agrees_with_full_residual(self, a4, cs, a4_sum_a4, a8, monkeypatch):
+    def test_span_path_agrees_with_full_residual(self, a4, cs, a4_sum_a4, a8):
         # the adjoint-span derivation check must agree with the materialized
-        # residual wherever both are feasible, and check_derivation must give
-        # the full residual's witness on either route
-        from naryalg import algebra
-
+        # residual, and check_derivation and check_filippov must give its
+        # lexicographically first nonzero entry as the witness
         bad = perturbed_a4()
-        pairs = [(a4, a4), (cs, cs), (a4_sum_a4, a4_sum_a4), (bad, bad),
-                 (a4, cs), (a8, a4_sum_a4), (bad, cs), (a4, bad)]
-        for l1, l2 in pairs:
-            full = derivation_residual(l1, l2)
-            assert (not algebra._span_residual(l1, l2)) == is_zero(full)
-            expected = algebra._zero_report("derivation", full.data)
-            with monkeypatch.context() as m:
-                m.setattr(algebra, "FULL_RESIDUAL_WORK_LIMIT", 0)
-                span = check_derivation(l1, l2)
-            assert span.passed == expected.passed == is_zero(full)
-            assert (span.witness, span.residual) == (expected.witness, expected.residual)
-            if not span.passed:
-                assert full.get(span.witness) == span.residual != 0
-
+        assert_reports_are_first_residual_entries([
+            (a4, a4), (cs, cs), (a4_sum_a4, a4_sum_a4), (bad, bad),
+            (a4, cs), (a8, a4_sum_a4), (bad, cs), (a4, bad)])
 
     def test_span_route_is_guarded(self, a4, cs, monkeypatch):
-        from naryalg import SizeGuardError, algebra
+        from naryalg import SizeGuardError
 
-        monkeypatch.setattr(algebra, "FULL_RESIDUAL_WORK_LIMIT", 0)
-        monkeypatch.setenv("NARY_SIZE_GUARD", "10")
+        # between the ad-span estimate of cs-so4 (12 x 4 x 4 = 192) and the
+        # span check's estimate for (A4, cs-so4) (6 slices x 24 x 4 = 576)
+        monkeypatch.setenv("NARY_SIZE_GUARD", "300")
         with pytest.raises(SizeGuardError, match="adjoint-span derivation check"):
             check_derivation(a4, cs)
+
+
+@st.composite
+def sparse_algebras(draw, d):
+    """Arity 2-4 on Q^d with up to six random rational structure constants."""
+    n = draw(st.integers(2, 4))
+    keys = st.tuples(*[st.integers(1, d)] * (n + 1))
+    values = st.builds(lambda p, q: _integral(Fraction(p, q)),
+                       st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    data = draw(st.dictionaries(keys, values, max_size=6))
+    return NaryAlgebra(f"random{n}", d, n, RationalTensor((d,) * (n + 1), data))
+
+
+class TestDerivationReportDifferential:
+    """The span check's report is the full residual's, on all ordered pairs."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 4]).flatmap(
+        lambda d: st.lists(sparse_algebras(d), min_size=1, max_size=3)))
+    def test_random_sparse_algebras(self, algebras):
+        fixed = [perturbed_a4(), builtin("cs-so4")] if algebras[0].d == 4 else []
+        assert_reports_are_first_residual_entries(itertools.product(algebras + fixed, repeat=2))
+
+    def test_a4_sum_a4(self, a4_sum_a4):
+        bad = perturb(a4_sum_a4, (5, 6, 7, 8), 3)
+        assert_reports_are_first_residual_entries(itertools.product([a4_sum_a4, bad], repeat=2))
 
 
 class TestSkew:

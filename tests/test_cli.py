@@ -3,9 +3,22 @@ import time
 
 import pytest
 
-from naryalg import Metric, NaryAlgebra, RationalTensor, algebra, builtin, save
+from naryalg import (
+    Metric,
+    NaryAlgebra,
+    RationalTensor,
+    algebra,
+    builtin,
+    derivation_residual,
+    direct_sum,
+    filippov_residual,
+    load,
+    save,
+)
 from naryalg.algebra import CheckReport, Coordinates
 from naryalg.cli import run
+
+from change_of_basis import perturb, perturbed_a4
 
 
 def read_json(path):
@@ -59,12 +72,8 @@ class TestGenCheckPipeline:
             assert out.exists()
 
     def test_perturbed_algebra_fails_with_witness(self, tmp_path, capsys):
-        a4 = builtin("A4")
-        data = dict(a4.f.data)
-        data[(1, 2, 3, 4)] = 2
-        broken = NaryAlgebra("broken", 4, 3, RationalTensor((4,) * 4, data), a4.metric)
         path = tmp_path / "broken.json"
-        save(broken, path)
+        save(perturbed_a4(), path)
         code = run(["check", str(path), "--suite", "filippov"])
         assert code == 1
         report = json.loads(capsys.readouterr().out)
@@ -140,7 +149,6 @@ class TestCompose:
             "--metric", "euclid", "--prefactor", "1/2", "-o", str(out),
         ])
         assert code == 0
-        from naryalg import load
 
         assert load(out).f == builtin("cs-so4").f
         assert run(["check", str(out), "--suite", "triple,lple"]) == 0
@@ -174,26 +182,21 @@ class TestCompose:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False
 
-    def test_failed_derivation_report_is_the_same_on_both_routes(
-            self, tmp_path, capsys, monkeypatch):
-        a4 = builtin("A4")
-        data = dict(a4.f.data)
-        data[(1, 2, 3, 4)] = 2
+    def test_failed_derivation_report_is_the_same_on_both_routes(self, tmp_path, capsys):
+        # the rejection carries the full residual's first nonzero entry
+        bad = perturbed_a4()
         l1 = tmp_path / "bad.json"
-        save(NaryAlgebra("A4-perturbed", 4, 3, RationalTensor((4,) * 4, data), a4.metric), l1)
+        save(bad, l1)
         l2 = tmp_path / "cs.json"
         assert run(["gen", "--family", "cs-so4", "-o", str(l2)]) == 0
         argv = ["compose", "--l1", str(l1), "--l2", str(l2), "--metric", "euclid",
                 "-o", str(tmp_path / "out.json")]
         capsys.readouterr()
         assert run(argv) == 1
-        full = capsys.readouterr().out
-        monkeypatch.setattr(algebra, "FULL_RESIDUAL_WORK_LIMIT", 0)
-        spans = count_calls(monkeypatch, algebra, "_span_residual")
-        assert run(argv) == 1
-        assert capsys.readouterr().out == full
-        assert len(spans) == 1
-        assert json.loads(full)["checks"][0]["name"] == "derivation"
+        report = json.loads(capsys.readouterr().out)["checks"][0]
+        full = derivation_residual(bad, load(l2))
+        assert report == algebra._zero_report("derivation", full.data).as_dict()
+        assert report["name"] == "derivation"
 
 
 class TestFilippovMemo:
@@ -213,12 +216,34 @@ class TestFilippovMemo:
     def test_a6_suite_all(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "a6.json"
         assert run(["gen", "--family", "A", "--n", "5", "-o", str(path)]) == 0
-        residuals = count_calls(monkeypatch, algebra, "derivation_residual")
+        slices = count_calls(monkeypatch, algebra, "_residual_slice")
+        assert run(["check", str(path), "--suite", "filippov"]) == 0
+        once = len(slices)
+        assert once == 15  # the ad-span rank of A6, not its 360 ad rows
+        capsys.readouterr()
         assert run(["check", str(path), "--suite", "all"]) == 1  # the cyclic sum is nonzero
         checks = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
         assert checks["filippov"]
         assert {"nple", "genmetric", "lple"} <= set(checks)
-        assert len(residuals) == 1
+        assert len(slices) == 2 * once
+
+
+class TestFilippovWitness:
+    def test_span_witness_is_the_full_residuals_first_entry(self, tmp_path, capsys, a6):
+        # A6+A6 with its largest entry doubled: the full residual's first
+        # nonzero entry is the witness, in the library and through the CLI
+        big = direct_sum(a6, a6)
+        key = max(big.f.data)
+        bad = perturb(big, key, 2 * big.f.get(key))
+        full = algebra._zero_report("filippov", filippov_residual(bad).data)
+        assert full.witness == (7, 9, 10, 11, 12, 12, 11, 10, 9, 7)
+        report = algebra.check_filippov(bad)
+        assert (report.passed, report.witness, report.residual) == (False, full.witness, -1)
+        path = tmp_path / "bad.json"
+        save(bad, path)
+        assert run(["check", str(path), "--suite", "filippov"]) == 1
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert (check["witness"], check["residual"]) == (list(full.witness), "-1")
 
 
 class TestOtherVerbs:
@@ -229,6 +254,15 @@ class TestOtherVerbs:
         m = tmp_path / "m.json"
         assert run(["mixed", str(a4_file), str(a4_file), "-o", str(m)]) == 0
         assert read_json(m)["entries"] == read_json(k)["entries"]
+
+    def test_kasymov_contraction_is_guarded(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "a6.json"
+        assert run(["gen", "--family", "A", "--n", "5", "-o", str(path)]) == 0
+        out = tmp_path / "k.json"
+        monkeypatch.setenv("NARY_SIZE_GUARD", "1000")
+        assert run(["kasymov", str(path), "-o", str(out)]) == 3
+        assert "contract: 17280 exceeds size guard 1000" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_liealg(self, a4_file, capsys):
         assert run(["liealg", str(a4_file), "--kernel", "--centre"]) == 0

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from naryalg import NaryAlgebra, RationalTensor, builtin, save
+from naryalg import save
 from naryalg.cli import run
+
+from change_of_basis import perturbed_a4
 
 CASES = json.loads((Path(__file__).parent / "data" / "pinned_reports.json").read_text())
 
@@ -29,10 +31,7 @@ GEN_ARGS = {
 
 def write_fixture(name, path):
     if name == "A4-perturbed":
-        a4 = builtin("A4")
-        data = dict(a4.f.data)
-        data[(1, 2, 3, 4)] = 2
-        save(NaryAlgebra(name, 4, 3, RationalTensor((4,) * 4, data), a4.metric), path)
+        save(perturbed_a4(), path)
     else:
         assert run(["gen", *GEN_ARGS[name], "-o", str(path)]) == 0
 

@@ -356,3 +356,17 @@ class TestIntegralValues:
         t = random_tensor((4, 4), seed=4, density=0.5)
         ints = RationalTensor(t.shape, {k: v.numerator for k, v in t.data.items()})
         assert all(type(v) is int for v in raise_lower(ints, 2, g, "raise").data.values())
+
+    def test_fraction_factors_keep_integral_values_ints(self):
+        from naryalg.young import YoungShape, isotypic_project
+
+        eps = levi_civita(3)
+        pair = RationalTensor((2, 2), {(1, 2): 2})
+        for t, expected in (
+            (antisymmetrize(eps, (1, 2, 3), normalized=True), eps.data),
+            (isotypic_project(eps, (1, 2, 3), YoungShape(3, 0)), eps.data),
+            (scale(eps, Fraction(2)), {k: 2 * v for k, v in eps.data.items()}),
+            (symmetrize(pair, (1, 2), normalized=True), {(1, 2): 1, (2, 1): 1}),
+        ):
+            assert t.data == expected
+            assert all(type(v) is int for v in t.data.values())
