@@ -42,6 +42,7 @@ from .tensor import (
     guard,
     levi_civita,
     raise_lower,
+    scale,
 )
 
 
@@ -141,7 +142,7 @@ def associated_leibniz(inp: ConstructionInput, force: bool = False) -> NaryAlgeb
     hlow = l2.lowered(metric)                           # slots (B, d, v, u)
     glow = contract(fr, (n, n + 1), hlow, (m + 1, m))   # slots (A, B, d)
     if inp.prefactor != 1:
-        glow = RationalTensor(glow.shape, {k: v * inp.prefactor for k, v in glow.data.items()})
+        glow = scale(glow, inp.prefactor)
     galg = raise_lower(glow, arity + 1, metric, "raise")
     name = f"assoc({l1.name},{l2.name})"
     out = NaryAlgebra(name, l1.d, arity, galg, metric)

@@ -20,9 +20,9 @@ from .tensor import (
     ShapeError,
     SizeGuardError,
     _acc,
-    _integral,
     antisymmetrize,
     guard,
+    scale,
     symmetrize,
 )
 
@@ -225,7 +225,7 @@ def isotypic_project(t: RationalTensor, slots, shape,
                 new[positions[j]] = sub[perm[j]]
             _acc(acc, tuple(new), weight * val)
     norm = Fraction(chi_id, math.factorial(l))
-    return RationalTensor(t.shape, {k: _integral(v * norm) for k, v in acc.items()})
+    return scale(RationalTensor._trusted(t.shape, acc), norm)
 
 
 def _partitions(n: int, cap: int | None = None):
