@@ -510,25 +510,52 @@ def all_of(name: str, reports) -> CheckReport:
     return CheckReport(name, True)
 
 
+def _odd_blocks(L: NaryAlgebra, what: str):
+    """n for odd arity 2n-3, and the skew reports of input slots 1..n-1 and n..2n-3."""
+    if L.n % 2 == 0 or L.n < 3:
+        raise ShapeError(f"{what} check needs odd arity >= 3, got {L.n}")
+    n = (L.n + 3) // 2
+    return n, [check_skew(L, range(1, n)), check_skew(L, range(n, L.n + 1))]
+
+
 def check_generalized_metric_l(L: NaryAlgebra, metric: Metric | None = None) -> CheckReport:
     """Generalized metric ell-algebra axioms for odd arity ell = 2n-3.
 
     Skew in the first n-1 and next n-2 slots, metric, symmetric under the
     exchange of the two (n-1)-index blocks of the lowered constants, and FI.
     """
-    ell = L.n
-    if ell % 2 == 0 or ell < 3:
-        raise ShapeError(f"generalized metric check needs odd arity >= 3, got {ell}")
-    n = (ell + 3) // 2
+    n, skews = _odd_blocks(L, "generalized metric")
     metric = L.require_metric(metric)
-    block_exchange = (*range(n - 1, ell + 1), *range(n - 1))
+    block_exchange = (*range(n - 1, L.n + 1), *range(n - 1))
     return all_of("genmetric", [
-        check_skew(L, range(1, n)),
-        check_skew(L, range(n, ell + 1)),
+        *skews,
         check_metricity(L, metric),
         _mismatch_report(L.lowered(metric), "blocksym", [block_exchange], 1),
         check_filippov(L),
     ])
+
+
+def _impure_component(f: RationalTensor, n: int):
+    """Least r != n-2 with a nonzero two-column component of f, or None.
+
+    f is skew in input slots 1..n-1 and n..2n-3, so by Pieri's rule it holds
+    only the two-column patterns r = 0..n-2.  Antisymmetrizing its first
+    n-1+k input slots kills exactly the patterns with r > n-2-k.
+    """
+    for k in range(n - 2, 0, -1):
+        if antisymmetrize(f, range(1, n + k)).data:
+            return n - 2 - k
+    return None
+
+
+def is_lie_lple(L: NaryAlgebra) -> CheckReport:
+    """Odd arity l = 2n-3, block skews, FI, and purity at the r = n-2 pattern."""
+    n, skews = _odd_blocks(L, "l-ple")
+    pre = all_of("lple", [*skews, check_filippov(L)])
+    r = _impure_component(L.f, n) if pre.passed else None
+    if r is None:
+        return pre
+    return CheckReport("lple", False, (r,), None, detail=f"nonzero component at r={r} != {n - 2}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Thin adapters only: every verb loads files, calls one library operation and
 serializes the result.  Exit codes: 0 all checks passed, 1 a check failed,
-2 usage or input error, 3 size-guard or budget rejection.
+2 usage or input error, 3 size-guard, budget or out-of-memory rejection.
 """
 
 from __future__ import annotations
@@ -74,6 +74,10 @@ def _any_arity(n: int) -> bool:
     return True
 
 
+def _odd_arity(n: int) -> bool:
+    return n % 2 == 1
+
+
 # name -> (check, applies to arity); `all` expands in this order.  Arity is
 # always >= 2, so "odd" already means ">= 3".  Checks are looked up on their
 # module at call time, so wrappers installed after import still see them.
@@ -87,9 +91,8 @@ CHECKS = {
     "nondegenerate": (lambda L, m: forms.kasymov_nondegenerate(L), _any_arity),
     "symmetry": (lambda L, m: algebra.check_symmetry_property(L, m), lambda n: n >= 3),
     "triple": (lambda L, m: algebra.is_lie_triple(L), lambda n: n == 3),
-    "genmetric": (lambda L, m: algebra.check_generalized_metric_l(L, m), lambda n: n % 2 == 1),
-    # the l=7 isotypic sweep is beyond the default budget
-    "lple": (lambda L, m: young.is_lie_lple(L), lambda n: n in (3, 5)),
+    "genmetric": (lambda L, m: algebra.check_generalized_metric_l(L, m), _odd_arity),
+    "lple": (lambda L, m: algebra.is_lie_lple(L), _odd_arity),
 }
 
 
@@ -353,6 +356,9 @@ def run(argv=None) -> int:
         return _HANDLERS[args.verb](args)
     except SizeGuardError as exc:
         print(f"naryalg: size guard: {exc}", file=sys.stderr)
+        return EXIT_SIZE_GUARD
+    except MemoryError:
+        print("naryalg: out of memory: the request is too large", file=sys.stderr)
         return EXIT_SIZE_GUARD
     except (UsageError, AlgebraFileError, construct.UnknownFixtureError,
             ShapeError, OSError, ValueError) as exc:

@@ -1,20 +1,24 @@
 """Two-column Young machinery for bracket-symmetry classification.
 
 A bracket skew in its first n-1 and last n-2 slots decomposes over two-column
-patterns indexed by r, the length of the second column.  Membership tests use
-the central character idempotent (filling-independent); the literal
+patterns indexed by r, the length of the second column.  Classification uses
+the central character idempotent (filling-independent), built from the class
+sums of one l! permutation sweep; the literal
 symmetrize-rows-then-antisymmetrize-columns projector of a single tableau is
-kept as a separate operation.
+kept as a separate operation.  Lie l-ple membership needs no sweep and lives
+in ``algebra``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .algebra import CheckReport, NaryAlgebra, all_of, check_filippov, check_skew
+from .algebra import NaryAlgebra
 from .tensor import (
     RationalTensor,
     ShapeError,
@@ -90,10 +94,7 @@ def gl_dimension(shape: YoungShape, d: int) -> int:
     return int(value)
 
 
-def _strip_zeros(parts) -> tuple:
-    return tuple(p for p in parts if p > 0)
-
-
+@functools.cache
 def _mn(lam: tuple, mu: tuple) -> int:
     # Murnaghan-Nakayama on beta numbers; mu is consumed front to back.
     if not mu:
@@ -103,29 +104,15 @@ def _mn(lam: tuple, mu: tuple) -> int:
     beta = [lam[i] + (k - 1 - i) for i in range(k)]
     bset = set(beta)
     total = 0
-    for i, b in enumerate(beta):
+    for b in beta:
         nb = b - t
         if nb < 0 or nb in bset:
             continue
         height = sum(1 for x in beta if nb < x < b)
-        newbeta = sorted((x for j, x in enumerate(beta) if j != i), reverse=True)
-        newbeta.append(nb)
-        newbeta.sort(reverse=True)
-        newlam = _strip_zeros(
-            tuple(x - (k - 1 - pos) for pos, x in enumerate(newbeta))
-        )
-        total += (-1) ** height * _character_memo(newlam, rest)
+        newbeta = sorted(bset - {b} | {nb}, reverse=True)
+        newlam = (x - (k - 1 - pos) for pos, x in enumerate(newbeta))
+        total += (-1) ** height * _mn(tuple(p for p in newlam if p > 0), rest)
     return total
-
-
-_char_cache: dict = {}
-
-
-def _character_memo(lam: tuple, mu: tuple) -> int:
-    key = (lam, mu)
-    if key not in _char_cache:
-        _char_cache[key] = _mn(lam, mu)
-    return _char_cache[key]
 
 
 def character(shape, cycle_type) -> int:
@@ -135,7 +122,7 @@ def character(shape, cycle_type) -> int:
     mu = tuple(sorted(cycle_type, reverse=True))
     if sum(lam) != sum(mu):
         raise ShapeError(f"cycle type {mu} does not partition {sum(lam)}")
-    return _character_memo(lam, mu)
+    return _mn(lam, mu)
 
 
 @dataclass(frozen=True)
@@ -159,16 +146,14 @@ class SymmetricGroupCharacter:
 
 
 def _cycle_type(perm) -> tuple:
-    seen = [False] * len(perm)
+    unseen = set(range(len(perm)))
     lengths = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
+    while unseen:
+        j = unseen.pop()
+        length = 1
+        while perm[j] in unseen:
             j = perm[j]
+            unseen.remove(j)
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
@@ -190,6 +175,42 @@ def primitive_project(t: RationalTensor, slots, tab: Tableau) -> RationalTensor:
     return out
 
 
+def _class_sums(t: RationalTensor, slots: tuple, force: bool) -> dict:
+    """{cycle type mu: sum of sigma.t over the sigma of type mu}, from one l! sweep."""
+    l = len(slots)
+    work = math.factorial(l) * max(t.nnz, 1)
+    guard(work, "isotypic projection")
+    if not force and work > ISOTYPIC_PERMUTATION_BUDGET:
+        raise BudgetExceededError(
+            f"isotypic projection: {work} operations exceed budget "
+            f"{ISOTYPIC_PERMUTATION_BUDGET}; pass force=True to run"
+        )
+    positions = [s - 1 for s in slots]
+    sums: dict = {}
+    for perm in itertools.permutations(range(l)):
+        source = list(range(t.rank))
+        for j in range(l):
+            source[positions[j]] = positions[perm[j]]
+        # itemgetter of one index returns the bare item; rank 1 has only the identity
+        image = itemgetter(*source) if t.rank > 1 else tuple
+        acc = sums.setdefault(_cycle_type(perm), {})
+        for key, val in zip(map(image, t.data), t.data.values()):
+            acc[key] = acc.get(key, 0) + val
+    return {mu: {key: val for key, val in part.items() if val} for mu, part in sums.items()}
+
+
+def _project(t: RationalTensor, sums: dict, lam: tuple) -> RationalTensor:
+    """(chi(id)/l!) sum_mu chi(mu) T_mu over the class sums T_mu of t."""
+    char = SymmetricGroupCharacter.for_shape(lam)
+    acc: dict = {}
+    for mu, part in sums.items():
+        if char.table[mu]:
+            for key, val in part.items():
+                _acc(acc, key, char.table[mu] * val)
+    norm = Fraction(char.degree, math.factorial(sum(lam)))
+    return scale(RationalTensor._trusted(t.shape, acc), norm)
+
+
 def isotypic_project(t: RationalTensor, slots, shape,
                      force: bool = False) -> RationalTensor:
     """Central idempotent (chi(id)/l!) sum_sigma chi(sigma) sigma.t on the slots.
@@ -200,32 +221,9 @@ def isotypic_project(t: RationalTensor, slots, shape,
     """
     slots = tuple(slots)
     lam = shape.partition() if isinstance(shape, YoungShape) else tuple(shape)
-    l = len(slots)
-    if sum(lam) != l:
-        raise ShapeError(f"shape {lam} does not fill {l} slots")
-    work = math.factorial(l) * max(t.nnz, 1)
-    guard(work, "isotypic projection")
-    if not force and work > ISOTYPIC_PERMUTATION_BUDGET:
-        raise BudgetExceededError(
-            f"isotypic projection: {work} operations exceed budget "
-            f"{ISOTYPIC_PERMUTATION_BUDGET}; pass force=True to run"
-        )
-    chi = SymmetricGroupCharacter.for_shape(lam).table
-    chi_id = chi[(1,) * l]
-    acc: dict = {}
-    positions = [s - 1 for s in slots]
-    for perm in itertools.permutations(range(l)):
-        weight = chi[_cycle_type(perm)]
-        if weight == 0:
-            continue
-        for key, val in t.data.items():
-            sub = tuple(key[p] for p in positions)
-            new = list(key)
-            for j in range(l):
-                new[positions[j]] = sub[perm[j]]
-            _acc(acc, tuple(new), weight * val)
-    norm = Fraction(chi_id, math.factorial(l))
-    return scale(RationalTensor._trusted(t.shape, acc), norm)
+    if sum(lam) != len(slots):
+        raise ShapeError(f"shape {lam} does not fill {len(slots)} slots")
+    return _project(t, _class_sums(t, slots, force), lam)
 
 
 def _partitions(n: int, cap: int | None = None):
@@ -241,31 +239,10 @@ def _partitions(n: int, cap: int | None = None):
 def classify_bracket(L: NaryAlgebra, force: bool = False):
     """Isotypic content of the bracket input slots over all two-column r.
 
-    Returns [(r, nonzero, gl_dim)] for r = 0..floor(arity/2).
+    Returns [(r, nonzero, gl_dim)] for r = 0..floor(arity/2); every shape is
+    projected from the class sums of one permutation sweep.
     """
-    slots = range(1, L.n + 1)
-    out = []
-    for r in range(L.n // 2 + 1):
-        shape = YoungShape(L.n, r)
-        proj = isotypic_project(L.f, slots, shape, force=force)
-        out.append((r, bool(proj.data), gl_dimension(shape, L.d)))
-    return out
-
-
-def is_lie_lple(L: NaryAlgebra, force: bool = False) -> CheckReport:
-    """Odd arity l = 2n-3, block skews, FI, and purity at the r = n-2 pattern."""
-    if L.n % 2 == 0 or L.n < 3:
-        raise ShapeError(f"l-ple check needs odd arity >= 3, got {L.n}")
-    n = (L.n + 3) // 2
-    pre = all_of("lple", [
-        check_skew(L, range(1, n)),
-        check_skew(L, range(n, L.n + 1)),
-        check_filippov(L),
-    ])
-    if not pre.passed:
-        return pre
-    for r, nonzero, _ in classify_bracket(L, force=force):
-        if nonzero and r != n - 2:
-            return CheckReport("lple", False, (r,), None,
-                               detail=f"nonzero component at r={r} != {n - 2}")
-    return pre
+    sums = _class_sums(L.f, tuple(range(1, L.n + 1)), force)
+    shapes = [YoungShape(L.n, r) for r in range(L.n // 2 + 1)]
+    return [(shape.r, bool(_project(L.f, sums, shape.partition()).data),
+             gl_dimension(shape, L.d)) for shape in shapes]

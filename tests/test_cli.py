@@ -9,6 +9,7 @@ from naryalg import (
     RationalTensor,
     algebra,
     builtin,
+    corollary_self,
     derivation_residual,
     direct_sum,
     filippov_residual,
@@ -227,6 +228,15 @@ class TestFilippovMemo:
         assert {"nple", "genmetric", "lple"} <= set(checks)
         assert len(slices) == 2 * once
 
+    def test_arity_seven_suite_all_includes_lple(self, tmp_path, capsys):
+        path = tmp_path / "c6.json"
+        save(corollary_self(builtin("A6")), path)
+        assert run(["check", str(path), "--suite", "all"]) == 1  # not skew in all 7 slots
+        checks = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["genmetric"] and checks["lple"]
+        assert run(["check", str(path), "--suite", "lple"]) == 0
+        capsys.readouterr()
+
 
 class TestFilippovWitness:
     def test_span_witness_is_the_full_residuals_first_entry(self, tmp_path, capsys, a6):
@@ -325,6 +335,16 @@ class TestErrorPaths:
         monkeypatch.setenv("NARY_SIZE_GUARD", "10")
         assert run(["gen", "--family", "A", "--n", "3", "-o", str(tmp_path / "x.json")]) == 3
         capsys.readouterr()
+
+    def test_memory_error_exit_code(self, monkeypatch, tmp_path, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(algebra, "simple_filippov", exhausted)
+        out = tmp_path / "a10.json"
+        assert run(["gen", "--family", "A", "--n", "10", "-o", str(out)]) == 3
+        assert not out.exists()
+        assert "naryalg: out of memory" in capsys.readouterr().err
 
     def test_budget_exit_code(self, tmp_path, capsys, seven_leibniz):
         path = tmp_path / "seven.json"

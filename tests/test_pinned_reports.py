@@ -22,6 +22,7 @@ CASES = json.loads((Path(__file__).parent / "data" / "pinned_reports.json").read
 GEN_ARGS = {
     "A4": ["--family", "A", "--n", "3"],
     "A5": ["--family", "A", "--n", "4"],
+    "A6": ["--family", "A", "--n", "5"],
     "A1+3": ["--family", "Apq", "--signature=-1,1,1,1"],
     "cs-so4": ["--family", "cs-so4"],
     "a4-sum-a4": ["--family", "a4sum"],

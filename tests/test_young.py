@@ -4,14 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naryalg import (
     BudgetExceededError,
+    NaryAlgebra,
     RationalTensor,
     SlotPermutation,
     Tableau,
     YoungShape,
     add,
+    antisymmetrize,
+    builtin,
     character,
     classify_bracket,
     corollary_self,
@@ -22,8 +27,10 @@ from naryalg import (
     isotypic_project,
     permute,
     primitive_project,
+    scale,
 )
-from naryalg import linalg
+from naryalg import linalg, young
+from naryalg.algebra import _impure_component
 
 
 def hook_content_dimension(partition, d):
@@ -225,6 +232,46 @@ class TestClassification:
     def test_gl_dims_reported(self, a4):
         assert [dim for _, _, dim in classify_bracket(a4)] == [4, 20]
 
+    def test_one_permutation_sweep_for_all_shapes(self, a6, monkeypatch):
+        seen = []
+        real = young._cycle_type
+        monkeypatch.setattr(young, "_cycle_type", lambda perm: seen.append(perm) or real(perm))
+        assert [(r, nz) for r, nz, _ in classify_bracket(a6)] == [
+            (0, True), (1, False), (2, False)]
+        assert len(seen) == math.factorial(5)  # once per permutation, not once per shape
+
+
+def block_skew(d, l, seeds):
+    """The arity-l tensor (l = 2n-3) made skew in input slots 1..n-1 and n..l."""
+    n = (l + 3) // 2
+    t = RationalTensor((d,) * (l + 1), seeds)
+    return antisymmetrize(antisymmetrize(t, range(1, n)), range(n, l + 1))
+
+
+def least_impure_r(t, l):
+    """Reference: the least r != n-2 whose isotypic projection is nonzero."""
+    n = (l + 3) // 2
+    for r in range(n - 2):
+        if not is_zero(isotypic_project(t, range(1, l + 1), YoungShape(l, r))):
+            return r
+    return None
+
+
+@st.composite
+def block_skew_cases(draw, l, d):
+    n = (l + 3) // 2
+    # a seed takes its first block from the front of a permutation and its
+    # second block from a window starting at most n-1 further on, so the
+    # indices inside each block are distinct and the blocks overlap in any amount
+    seed = st.tuples(st.permutations(range(1, d + 1)),
+                     st.integers(0, min(n - 1, d - n + 2)), st.integers(1, d))
+    keys = draw(st.lists(seed, min_size=1, max_size=2))
+    seeds = {(*p[:n - 1], *p[start:start + n - 2], s): draw(st.integers(-3, 3).filter(bool))
+             for p, start, s in keys}
+    coeffs = draw(st.lists(st.sampled_from([1, -1, 2, Fraction(-1, 3)]),
+                           min_size=n - 1, max_size=n - 1))
+    return block_skew(d, l, seeds), coeffs
+
 
 class TestLieLple:
     def test_cs_so4_passes_and_matches_triple(self, cs):
@@ -239,3 +286,39 @@ class TestLieLple:
     def test_even_arity_rejected(self, a5):
         with pytest.raises(Exception):
             is_lie_lple(a5)
+
+    def test_arity_seven_passes_without_a_permutation_sweep(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("l-ple membership ran an isotypic sweep")
+
+        monkeypatch.setattr(young, "_class_sums", refuse)
+        assert is_lie_lple(corollary_self(builtin("A6"))).passed
+
+    @pytest.mark.parametrize("l, d", [(3, 2), (3, 3), (3, 4), (5, 4), (5, 5), (5, 6)])
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_purity_matches_the_isotypic_reference(self, l, d, data):
+        # every mixture of the tensor's two-column components, so every
+        # subset of components occurs
+        t, coeffs = data.draw(block_skew_cases(l, d))
+        n = (l + 3) // 2
+        parts = [isotypic_project(t, range(1, l + 1), YoungShape(l, r)) for r in range(n - 1)]
+        total = RationalTensor(t.shape)
+        for part in parts:
+            total = add(total, part)
+        assert total == t
+        live = [r for r, part in enumerate(parts) if not is_zero(part)]
+        for size in range(len(live) + 1):
+            for subset in itertools.combinations(live, size):
+                mix = RationalTensor(t.shape)
+                for r in subset:
+                    mix = add(mix, scale(parts[r], coeffs[r]))
+                assert _impure_component(mix, n) == least_impure_r(mix, l)
+
+    @pytest.mark.parametrize("d, seed, r", [(5, (1, 2, 3, 4, 1, 2, 5, 1), 2),
+                                            (6, (1, 2, 3, 4, 5, 6, 1, 2), 1)])
+    def test_purity_at_arity_seven(self, d, seed, r):
+        # the reference reads the isotypic projections of all shapes off one sweep
+        t = block_skew(d, 7, {seed: 1})
+        nonzero = [nz for _, nz, _ in classify_bracket(NaryAlgebra("t", d, 7, t))]
+        assert _impure_component(t, 5) == next(k for k in range(3) if nonzero[k]) == r
