@@ -116,7 +116,9 @@ def ad_of_sum(L: NaryAlgebra, terms):
     for coeff, x in terms:
         if coeff == 0:
             continue
-        mat = linalg.mat_add(mat, linalg.mat_scale(ad_matrix(L, x), coeff))
+        for row, ad_row in zip(mat, ad_matrix(L, x)):
+            for j, val in enumerate(ad_row):
+                row[j] += coeff * val
     return mat
 
 

@@ -30,42 +30,69 @@ class AlgebraFileError(ValueError):
     """Malformed algebra/trace-form file."""
 
 
-class Metric:
-    """Symmetric non-degenerate bilinear form on Q^d.
+def _rational(x):
+    """x as an int when it is integral, else as a Fraction."""
+    return x if type(x) is int else _integral(Fraction(x))
 
-    Immutable and hashed by value, so results computed for one metric can be
-    cached under any equal one.  Integral entries of the matrix and of its
-    inverse are stored as ints.
+
+class Metric:
+    """Symmetric non-degenerate bilinear form on Q^d, stored as sparse rows.
+
+    g and its inverse are rows {i: {j: value}} of their nonzero entries,
+    1-based with ascending j.  A diagonal metric costs O(d) to build, hash
+    and invert; only a dense "matrix" metric pays for its d^2 input and its
+    guarded Gauss-Jordan inverse.  Immutable and hashed by value, so results
+    computed for one metric can be cached under any equal one.  Integral
+    values are stored as ints.
     """
 
     def __init__(self, entries):
-        self.entries = tuple(tuple(_integral(Fraction(x)) for x in row) for row in entries)
-        self.d = len(self.entries)
-        for row in self.entries:
-            if len(row) != self.d:
-                raise ShapeError("metric matrix is not square")
-        for i in range(self.d):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
+        rows = [[_rational(x) for x in row] for row in entries]
+        if any(len(row) != len(rows) for row in rows):
+            raise ShapeError("metric matrix is not square")
+        self._build(len(rows), {i: {j: x for j, x in enumerate(row, 1) if x}
+                                for i, row in enumerate(rows, 1)})
+
+    @classmethod
+    def _of_rows(cls, d: int, rows: dict) -> "Metric":
+        metric = object.__new__(cls)
+        metric._build(d, rows)
+        return metric
+
+    def _build(self, d: int, rows: dict) -> None:
+        """The one construction route: checks rows and computes the inverse.
+
+        rows holds nonzero ints and Fractions only, in ascending i and j.
+        """
+        self.d = d
+        self.rows = rows
+        for i, row in rows.items():
+            for j, x in row.items():
+                if rows.get(j, {}).get(i) != x:
                     raise ShapeError("metric matrix is not symmetric")
+        if len(rows) != d or not all(rows.values()):
+            raise ShapeError("metric is singular")
+        self.is_diagonal = all(len(row) == 1 and i in row for i, row in rows.items())
         if self.is_diagonal:
-            if 0 in self.diagonal():
-                raise ShapeError("metric is singular")
-            inverse = [[Fraction(1) / x if i == j else 0 for j, x in enumerate(row)]
-                       for i, row in enumerate(self.entries)]
+            # +1 and -1 are their own inverses
+            self.inverse_rows = {i: {i: x if x in (1, -1) else _integral(Fraction(1) / x)}
+                                 for i, row in rows.items() for x in row.values()}
         else:
             # Gauss-Jordan on the d x 2d augmented matrix
-            guard(2 * self.d ** 3, "metric inverse")
+            guard(2 * d ** 3, "metric inverse")
             try:
                 inverse = linalg.invert(self.entries)
             except linalg.SingularMatrixError as exc:
                 raise ShapeError("metric is singular") from exc
-        self.inverse = tuple(tuple(_integral(x) for x in row) for row in inverse)
+            self.inverse_rows = {i: {j: _integral(x) for j, x in enumerate(row, 1) if x}
+                                 for i, row in enumerate(inverse, 1)}
+        self._hash = hash(tuple((i, tuple(row.items())) for i, row in rows.items()))
 
     @classmethod
     def diag(cls, signs) -> "Metric":
-        signs = list(signs)
-        return cls([[signs[i] if i == j else 0 for j in range(len(signs))] for i in range(len(signs))])
+        signs = [_rational(x) for x in signs]
+        return cls._of_rows(len(signs), {i: {i: x} if x else {}
+                                         for i, x in enumerate(signs, 1)})
 
     @classmethod
     def euclidean(cls, d: int) -> "Metric":
@@ -75,25 +102,30 @@ class Metric:
     def lorentzian(cls, p: int, q: int) -> "Metric":
         return cls.diag([-1] * p + [1] * q)
 
+    def _dense(self, rows: dict) -> tuple:
+        return tuple(tuple(rows[i].get(j, 0) for j in range(1, self.d + 1))
+                     for i in range(1, self.d + 1))
+
     @property
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.d)
-            for j in range(self.d)
-            if i != j
-        )
+    def entries(self) -> tuple:
+        """Dense d x d view of g, built on every call."""
+        return self._dense(self.rows)
+
+    @property
+    def inverse(self) -> tuple:
+        """Dense d x d view of the inverse of g, built on every call."""
+        return self._dense(self.inverse_rows)
 
     def diagonal(self):
-        return [self.entries[i][i] for i in range(self.d)]
+        return [self.rows[i].get(i, 0) for i in range(1, self.d + 1)]
 
     def __eq__(self, other):
         if not isinstance(other, Metric):
             return NotImplemented
-        return self.entries == other.entries
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.entries)
+        return self._hash
 
     def __repr__(self):
         if self.is_diagonal:
@@ -270,16 +302,10 @@ def direct_sum(a: NaryAlgebra, b: NaryAlgebra) -> NaryAlgebra:
         data[tuple(i + a.d for i in key)] = val
     metric = None
     if a.metric is not None and b.metric is not None:
-        rows = []
-        for i in range(d):
-            row = [0] * d
-            for j in range(d):
-                if i < a.d and j < a.d:
-                    row[j] = a.metric.entries[i][j]
-                elif i >= a.d and j >= a.d:
-                    row[j] = b.metric.entries[i - a.d][j - a.d]
-            rows.append(row)
-        metric = Metric(rows)
+        rows = dict(a.metric.rows)
+        for i, row in b.metric.rows.items():
+            rows[i + a.d] = {j + a.d: x for j, x in row.items()}
+        metric = Metric._of_rows(d, rows)
     return NaryAlgebra(
         f"{a.name}+{b.name}", d, a.n, RationalTensor((d,) * (a.n + 1), data), metric
     )
@@ -621,6 +647,8 @@ def _metric_from_json(obj, d: int) -> Metric:
         rows = obj["matrix"]
         if not isinstance(rows, list) or len(rows) != d:
             raise AlgebraFileError("metric matrix has wrong size")
+        if not all(isinstance(row, list) for row in rows):
+            raise AlgebraFileError("metric matrix rows must be lists")
         try:
             return Metric([[parse_rational(x) for x in row] for row in rows])
         except (ValueError, ShapeError) as exc:
@@ -680,6 +708,8 @@ def from_json_dict(obj: dict) -> NaryAlgebra:
         entries = obj["entries"]
     except KeyError as exc:
         raise AlgebraFileError(f"missing field {exc}") from exc
+    if not isinstance(name, str):
+        raise AlgebraFileError(f"'name' must be a string, got {name!r}")
     # type() rather than isinstance(): JSON true/false are not sizes
     if type(d) is not int or d < 0 or type(n) is not int or n < 2:
         raise AlgebraFileError(f"bad dim/arity ({d}, {n})")

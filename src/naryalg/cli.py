@@ -145,30 +145,28 @@ def _emit(text: str, out_path: str | None) -> None:
 # verbs
 
 
+def _signature_algebra(args) -> NaryAlgebra:
+    sig = _parse_signature(args.signature)
+    return algebra.simple_filippov(len(sig) - 1, sig)
+
+
+# family -> (options it needs, builder); argparse reads its choices from here.
+FAMILIES = {
+    "A": (("n",), lambda a: algebra.simple_filippov(a.n, [1] * (a.n + 1))),
+    "Apq": (("signature",), _signature_algebra),
+    "cs-so4": ((), lambda a: construct.builtin("cs-so4")),
+    "a4sum": ((), lambda a: construct.builtin("a4-sum-a4")),
+    "seven-leibniz": ((), lambda a: construct.builtin("seven-leibniz")),
+    "zero": (("n", "d"), lambda a: algebra.zero_algebra(a.d, a.n)),
+}
+
+
 def _cmd_gen(args) -> int:
-    family = args.family
-    if family == "A":
-        if args.n is None:
-            raise UsageError("gen --family A needs --n")
-        L = algebra.simple_filippov(args.n, [1] * (args.n + 1))
-    elif family == "Apq":
-        if args.signature is None:
-            raise UsageError("gen --family Apq needs --signature")
-        sig = _parse_signature(args.signature)
-        L = algebra.simple_filippov(len(sig) - 1, sig)
-    elif family == "cs-so4":
-        L = construct.builtin("cs-so4")
-    elif family == "a4sum":
-        L = construct.builtin("a4-sum-a4")
-    elif family == "seven-leibniz":
-        L = construct.builtin("seven-leibniz")
-    elif family == "zero":
-        if args.n is None or args.d is None:
-            raise UsageError("gen --family zero needs --n and --d")
-        L = algebra.zero_algebra(args.d, args.n)
-    else:
-        raise UsageError(f"unknown family {family!r}")
-    algebra.save(L, args.output)
+    needs, build = FAMILIES[args.family]
+    if any(getattr(args, opt) is None for opt in needs):
+        raise UsageError(f"gen --family {args.family} needs "
+                         + " and ".join(f"--{opt}" for opt in needs))
+    algebra.save(build(args), args.output)
     return EXIT_PASS
 
 
@@ -280,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     gen = sub.add_parser("gen", help="write a named fixture algebra")
-    gen.add_argument("--family", required=True,
-                     choices=["A", "Apq", "cs-so4", "a4sum", "seven-leibniz", "zero"])
+    gen.add_argument("--family", required=True, choices=FAMILIES)
     gen.add_argument("--n", type=int, help="bracket arity (families A, zero)")
     gen.add_argument("--d", type=int, help="dimension (family zero)")
     gen.add_argument("--signature", help="comma list of +1/-1 (family Apq)")

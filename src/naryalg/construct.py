@@ -251,12 +251,11 @@ def triple_from_lie(generators: dict, form: dict, metric: Metric) -> NaryAlgebra
     symmetric.  Both are extended antisymmetrically inside each index pair.
     """
     d = metric.d
+    g = metric.entries
     for label, mat in generators.items():
-        mg = linalg.mat_add(
-            linalg.mat_mul(linalg.transpose(mat), metric.entries),
-            linalg.mat_mul(metric.entries, mat),
-        )
-        if not linalg.mat_is_zero(mg):
+        # g is symmetric, so M^T g + g M = 0 says that g M is antisymmetric
+        gm = linalg.mat_mul(g, mat)
+        if any(gm[i][j] + gm[j][i] for i in range(d) for j in range(i + 1)):
             raise ShapeError(f"generator {label} does not preserve the metric")
     for (p, q), val in form.items():
         if form.get((q, p), 0) != val:

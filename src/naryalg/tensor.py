@@ -399,14 +399,10 @@ def raise_lower(t, slot, metric, direction: str) -> RationalTensor:
         raise ShapeError(f"slot dim {t.shape[slot - 1]} != metric dim {metric.d}")
     if direction not in ("raise", "lower"):
         raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
-    rows = metric.entries if direction == "lower" else metric.inverse
+    rows = metric.rows if direction == "lower" else metric.inverse_rows
     out = {}
     for key, val in t.data.items():
-        i = key[slot - 1]
-        for j in range(1, metric.d + 1):
-            g = rows[i - 1][j - 1]
-            if g == 0:
-                continue
+        for j, g in rows[key[slot - 1]].items():
             new = list(key)
             new[slot - 1] = j
             _acc(out, tuple(new), val * g)

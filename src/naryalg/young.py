@@ -125,26 +125,6 @@ def character(shape, cycle_type) -> int:
     return _mn(lam, mu)
 
 
-@dataclass(frozen=True)
-class SymmetricGroupCharacter:
-    """A shape together with its full table of cycle-type character values."""
-
-    partition: tuple
-    table: dict
-
-    @classmethod
-    def for_shape(cls, shape) -> "SymmetricGroupCharacter":
-        lam = shape.partition() if isinstance(shape, YoungShape) else tuple(shape)
-        lam = tuple(sorted(lam, reverse=True))
-        table = {mu: character(lam, mu) for mu in _partitions(sum(lam))}
-        return cls(lam, table)
-
-    @property
-    def degree(self) -> int:
-        """Value at the identity, the number of standard tableaux."""
-        return self.table[(1,) * sum(self.partition)]
-
-
 def _cycle_type(perm) -> tuple:
     unseen = set(range(len(perm)))
     lengths = []
@@ -201,13 +181,13 @@ def _class_sums(t: RationalTensor, slots: tuple, force: bool) -> dict:
 
 def _project(t: RationalTensor, sums: dict, lam: tuple) -> RationalTensor:
     """(chi(id)/l!) sum_mu chi(mu) T_mu over the class sums T_mu of t."""
-    char = SymmetricGroupCharacter.for_shape(lam)
     acc: dict = {}
     for mu, part in sums.items():
-        if char.table[mu]:
+        chi = character(lam, mu)
+        if chi:
             for key, val in part.items():
-                _acc(acc, key, char.table[mu] * val)
-    norm = Fraction(char.degree, math.factorial(sum(lam)))
+                _acc(acc, key, chi * val)
+    norm = Fraction(character(lam, (1,) * sum(lam)), math.factorial(sum(lam)))
     return scale(RationalTensor._trusted(t.shape, acc), norm)
 
 

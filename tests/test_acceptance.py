@@ -65,11 +65,9 @@ def test_criterion_02_associated_lie_algebra_dimensions(a4, a5, a6):
             assert closure.dim == expected
             G = alg.metric.entries
             for mat in closure.basis:
-                s = linalg.mat_add(
-                    linalg.mat_mul(linalg.transpose(mat), G),
-                    linalg.mat_mul(G, mat),
-                )
-                assert linalg.mat_is_zero(s)
+                # M^T G + G M = 0
+                minus_gm = [[-x for x in row] for row in linalg.mat_mul(G, mat)]
+                assert linalg.mat_mul(linalg.transpose(mat), G) == minus_gm
 
 
 def test_criterion_03_half_kasymov_reproduces_cs_so4(a4, cs):
@@ -92,8 +90,9 @@ def test_criterion_05_construction_postconditions(a4, a5, assoc_a8):
             out = na.associated_leibniz(na.ConstructionInput(alg, alg, alg.metric))
             assert na.is_zero(na.filippov_residual(out)), alg.name
             assert na.check_metricity(out).passed, alg.name
-        # the rank-2*arity residual at arity 7, d = 8 is out of reach; the
-        # stated check is 10^4 exact residual slices with a fixed seed
+        # arity 7, d = 8: the exact check decides the FI on the adjoint span,
+        # and the stated 10^4 exact residual slices with a fixed seed stay
+        assert na.check_filippov(assoc_a8).passed
         assert na.filippov_sampled(assoc_a8, samples=10_000, seed=12345).passed
         assert na.check_metricity(assoc_a8).passed
 

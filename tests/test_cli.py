@@ -327,6 +327,17 @@ class TestErrorPaths:
         assert run(["check", str(path), "--suite", "filippov"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("field, value", [("metric", {"matrix": [1, 2, 3]}), ("name", ["x"])],
+                             ids=["matrix-rows-not-lists", "name-not-a-string"])
+    def test_malformed_header_field(self, tmp_path, capsys, field, value):
+        path = tmp_path / "a3.json"
+        assert run(["gen", "--family", "A", "--n", "2", "-o", str(path)]) == 0
+        obj = read_json(path)
+        obj[field] = value
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert run(["check", str(path), "--suite", "metricity"]) == 2
+        assert capsys.readouterr().err.startswith("naryalg: error:")
+
     def test_unknown_suite_name(self, a4_file, capsys):
         assert run(["check", str(a4_file), "--suite", "bogus"]) == 2
         capsys.readouterr()

@@ -112,7 +112,8 @@ def entry_files(draw, with_out: bool):
         else:
             ent[field] = draw(scalars | malformed | st.lists(scalars, max_size=4))
     elif target == "metric" and "metric" in obj:
-        obj["metric"] = draw(scalars | st.builds(lambda x: {"diag": x}, st.lists(scalars, max_size=4)))
+        obj["metric"] = draw(scalars | st.builds(lambda x: {"diag": x}, st.lists(scalars, max_size=4))
+                             | st.builds(lambda x: {"matrix": x}, st.lists(scalars, min_size=d, max_size=d)))
     elif target not in (None, "entry"):
         obj[target] = draw(scalars | st.lists(scalars, max_size=2))
     return obj
