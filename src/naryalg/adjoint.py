@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import NaryAlgebra
-from .tensor import ShapeError, SizeGuardError, guard
-
-KERNEL_UNKNOWN_CAP = 20_000
+from .tensor import ShapeError, guard
 
 
 @dataclass(frozen=True)
@@ -136,9 +134,10 @@ def lie_closure(L: NaryAlgebra) -> LieClosure:
     which are exactly those, in lexicographic order, that are independent of
     the ones before them; commutators are added breadth-first until the span
     is stable.  The insertion order makes the returned basis deterministic.
+    Each round is guarded on its own work: one 2d^3 product and one reduction
+    against the basis per commutator.
     """
     d = L.d
-    guard(d ** (L.n - 1) * d * d, f"lie_closure({L.name})")
     eb = linalg.EchelonBasis(d * d)
     basis = []
 
@@ -158,6 +157,8 @@ def lie_closure(L: NaryAlgebra) -> LieClosure:
 
     frontier = list(range(len(basis)))
     while frontier:
+        guard(len(frontier) * len(basis) * (2 * d ** 3 + len(basis) * d * d),
+              f"lie_closure({L.name})")
         fresh = []
         for i in frontier:
             for j in range(len(basis)):
@@ -175,10 +176,12 @@ def _kernel_of_slots(L: NaryAlgebra, lo: int, hi: int):
 
     Unknowns are the index tuples of slots lo+1..hi in lexicographic order;
     there is one equation per index tuple of the remaining slots, in sorted
-    order.
+    order.  Guarded on the dense equations and kernel vectors it builds.
     """
     d = L.d
     ncols = d ** (hi - lo)
+    heads = {key[:lo] + key[hi:] for key in L.f.data}
+    guard(ncols * (len(heads) + ncols), f"kernel({L.name})")
     rows: dict = {}
     for key, val in L.f.data.items():
         col = 0
@@ -194,14 +197,8 @@ def ad_kernel(L: NaryAlgebra):
     Returns (labels, vectors): labels lists all index tuples in lexicographic
     order and each vector holds the coefficients of one kernel basis element.
     """
-    d, n = L.d, L.n
-    unknowns = d ** (n - 1)
-    if unknowns > KERNEL_UNKNOWN_CAP:
-        raise SizeGuardError(
-            f"ad_kernel: {unknowns} unknowns exceed cap {KERNEL_UNKNOWN_CAP}"
-        )
-    labels = list(itertools.product(range(1, d + 1), repeat=n - 1))
-    return labels, _kernel_of_slots(L, 0, n - 1)
+    vectors = _kernel_of_slots(L, 0, L.n - 1)
+    return list(itertools.product(range(1, L.d + 1), repeat=L.n - 1)), vectors
 
 
 def centre(L: NaryAlgebra):

@@ -628,8 +628,8 @@ def is_lie_nple(L: NaryAlgebra) -> CheckReport:
 def _metric_to_json(metric: Metric | None):
     if metric is None:
         return None
-    if metric.is_diagonal and all(x in (1, -1) for x in metric.diagonal()):
-        return {"diag": [int(x) for x in metric.diagonal()]}
+    if metric.is_diagonal and all(type(x) is int for x in metric.diagonal()):
+        return {"diag": metric.diagonal()}
     return {"matrix": [[format_rational(x) for x in row] for row in metric.entries]}
 
 

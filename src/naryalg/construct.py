@@ -4,10 +4,10 @@ triple-system-from-rotations map, and the named fixtures.
 The core construction takes an n-Leibniz algebra L1 and a metric m-Leibniz
 algebra L2 on the same space and defines a (n+m-3)-bracket through
 <[X1..X_{n-1}, Y1..Y_{m-2}], Y_{m-1}> = Tr(ad1_X ad2_Y); in coordinates the
-lowered constants are g_{A B d} = f_A^{uv} h_{B d v u} with u, v contracted
-in reversed order.  Preconditions (symmetry property and metricity of L2,
-derivation property of ad2 on L1) are verified before building unless the
-caller explicitly forces an unverified construction.
+lowered constants are g_{A B d} = Tr(ad1_A ad2_{B d}), the mixed trace form,
+so the metric only raises the last slot.  Preconditions (symmetry property
+and metricity of L2, derivation property of ad2 on L1) are verified before
+building unless the caller explicitly forces an unverified construction.
 """
 
 from __future__ import annotations
@@ -29,16 +29,15 @@ from .algebra import (
     check_metricity,
     check_skew,
     check_symmetry_property,
-    derivation_residual,
     direct_sum,
     simple_filippov,
     zero_algebra,
 )
+from .forms import mixed_trace
 from .tensor import (
     RationalTensor,
     ShapeError,
     _acc,
-    contract,
     guard,
     levi_civita,
     raise_lower,
@@ -72,8 +71,7 @@ class ConstructionInput:
             raise ShapeError("metric dimension mismatch")
 
 
-def schouten_residual(l2: NaryAlgebra, d: int | None = None,
-                      metric: Metric | None = None) -> RationalTensor:
+def schouten_residual(l2: NaryAlgebra) -> RationalTensor:
     """Expansion of antisymmetrizing n+2 index labels over d = n+1 values.
 
     With eps of rank d and h the constants of l2 (m-th input raised, output
@@ -82,11 +80,9 @@ def schouten_residual(l2: NaryAlgebra, d: int | None = None,
     the n+2-term cyclic reduction of eps_{[a1..an l} h^l_{s]}; it vanishes
     identically because n+2 labels cannot all differ in n+1 dimensions.
     """
-    d = l2.d if d is None else d
-    if d != l2.d:
-        raise ShapeError(f"d = {d} but the algebra lives on dimension {l2.d}")
+    d = l2.d
     n = d - 1
-    metric = l2.require_metric(metric)
+    metric = l2.require_metric()
     eps = levi_civita(d)
     low = l2.lowered(metric)
     hl = raise_lower(low, l2.n, metric, "raise")  # slots (B, l, s)
@@ -126,7 +122,7 @@ def _require(report: CheckReport) -> None:
 def associated_leibniz(inp: ConstructionInput, force: bool = False) -> NaryAlgebra:
     """The (n+m-3)-Leibniz algebra of the trace-form construction.
 
-    Lowered constants are prefactor * f_A^{uv} h_{B d v u}; the output passes
+    Lowered constants are prefactor * Tr(ad1_A ad2_{B d}); the output passes
     the FI and is metric whenever the verified preconditions hold.
     """
     l1, l2, metric = inp.l1, inp.l2, inp.metric
@@ -134,13 +130,10 @@ def associated_leibniz(inp: ConstructionInput, force: bool = False) -> NaryAlgeb
         _require(check_symmetry_property(l2, metric))
         _require(check_metricity(l2, metric))
         _require(check_derivation(l1, l2))
-    n, m = l1.n, l2.n
-    arity = n + m - 3
+    arity = l1.n + l2.n - 3
     if arity < 2:
         raise ShapeError(f"resulting arity {arity} < 2")
-    fr = raise_lower(l1.f, n, metric, "raise")          # slots (A, u^, v^)
-    hlow = l2.lowered(metric)                           # slots (B, d, v, u)
-    glow = contract(fr, (n, n + 1), hlow, (m + 1, m))   # slots (A, B, d)
+    glow = mixed_trace(l1, l2).tensor  # slots (A, B, d)
     if inp.prefactor != 1:
         glow = scale(glow, inp.prefactor)
     galg = raise_lower(glow, arity + 1, metric, "raise")
@@ -248,7 +241,8 @@ def triple_from_lie(generators: dict, form: dict, metric: Metric) -> NaryAlgebra
 
     generators maps index pairs (i < j) to matrices preserving the metric;
     form maps ordered generator-label pairs to rational values and must be
-    symmetric.  Both are extended antisymmetrically inside each index pair.
+    symmetric; its labels must be pairs i < j in 1..d.  Both are extended
+    antisymmetrically inside each index pair.
     """
     d = metric.d
     g = metric.entries
@@ -257,24 +251,17 @@ def triple_from_lie(generators: dict, form: dict, metric: Metric) -> NaryAlgebra
         gm = linalg.mat_mul(g, mat)
         if any(gm[i][j] + gm[j][i] for i in range(d) for j in range(i + 1)):
             raise ShapeError(f"generator {label} does not preserve the metric")
+    pairs = set(itertools.combinations(range(1, d + 1), 2))
+    data: dict = {}
     for (p, q), val in form.items():
+        if p not in pairs or q not in pairs:
+            raise ShapeError(f"form label {(p, q)} is not a pair i < j in 1..{d}")
         if form.get((q, p), 0) != val:
             raise ShapeError(f"form is not symmetric at {(p, q)}")
-
-    def signed(i, j):
-        if i == j:
-            return None, 0
-        return ((i, j), 1) if i < j else ((j, i), -1)
-
-    data: dict = {}
-    for a1, a2, b1, b2 in itertools.product(range(1, d + 1), repeat=4):
-        p, sp = signed(a1, a2)
-        q, sq = signed(b1, b2)
-        if not sp or not sq:
-            continue
-        val = form.get((p, q), 0)
         if val:
-            data[(a1, a2, b1, b2)] = sp * sq * val
+            for a, sa in ((p, 1), (p[::-1], -1)):
+                for b, sb in ((q, 1), (q[::-1], -1)):
+                    data[a + b] = sa * sb * val
     glow = RationalTensor((d,) * 4, data)
     galg = raise_lower(glow, 4, metric, "raise")
     return NaryAlgebra("triple-from-lie", d, 3, galg, metric)

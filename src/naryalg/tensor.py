@@ -271,12 +271,11 @@ def is_zero(t: RationalTensor) -> bool:
     return not t.data
 
 
-def contract(t1, slots1, t2, slots2, metric=None) -> RationalTensor:
+def contract(t1, slots1, t2, slots2) -> RationalTensor:
     """Contract paired slots of two tensors.
 
     Result shape is the uncontracted slots of t1 followed by those of t2, in
-    their original order.  With a metric, both contracted slots are treated
-    as lowered and joined through the inverse metric.
+    their original order.
     """
     slots1 = _validate_slots(t1, slots1)
     slots2 = _validate_slots(t2, slots2)
@@ -288,9 +287,6 @@ def contract(t1, slots1, t2, slots2, metric=None) -> RationalTensor:
                 f"slot {s1} (dim {t1.shape[s1 - 1]}) cannot contract slot "
                 f"{s2} (dim {t2.shape[s2 - 1]})"
             )
-    if metric is not None:
-        for s2 in slots2:
-            t2 = raise_lower(t2, s2, metric, "raise")
     free1 = [s for s in range(1, t1.rank + 1) if s not in slots1]
     free2 = [s for s in range(1, t2.rank + 1) if s not in slots2]
     shape = tuple(t1.shape[s - 1] for s in free1) + tuple(t2.shape[s - 1] for s in free2)

@@ -9,6 +9,7 @@ from naryalg import (
     ad_matrix,
     ad_of_sum,
     basis_object,
+    builtin,
     centre,
     compose,
     compose_sums,
@@ -261,6 +262,22 @@ class TestKernel:
     def test_size_guard(self, a8):
         with pytest.raises(SizeGuardError):
             ad_kernel(a8)
+
+    def test_size_guard_follows_the_environment(self, a4, monkeypatch):
+        # 16 unknowns and 12 equations, one per (b, c) with b != c:
+        # 16 * (12 + 16) = 448 dense entries
+        monkeypatch.setenv("NARY_SIZE_GUARD", "447")
+        with pytest.raises(SizeGuardError, match="kernel"):
+            ad_kernel(a4)
+        monkeypatch.setenv("NARY_SIZE_GUARD", "448")
+        assert len(ad_kernel(a4)[1]) == 10
+
+    def test_a7_is_within_the_default_guard(self, monkeypatch):
+        # 7^5 = 16,807 unknowns; the elimination itself is stubbed out
+        monkeypatch.delenv("NARY_SIZE_GUARD", raising=False)
+        monkeypatch.setattr(linalg, "nullspace", lambda rows, ncols: [])
+        labels, vectors = ad_kernel(builtin("A7"))
+        assert (len(labels), vectors) == (7 ** 5, [])
 
 
 class TestCentre:

@@ -18,11 +18,13 @@ from naryalg import (
     check_metricity,
     check_skew,
     check_symmetry_property,
+    corollary_self,
     cyclic_sum,
     derivation_residual,
     direct_sum,
     filippov_residual,
     full_antisymmetrization,
+    is_lie_lple,
     is_lie_nple,
     is_lie_triple,
     is_zero,
@@ -262,9 +264,17 @@ class TestCyclicAndTriple:
         assert is_zero(cyclic_sum(seven_leibniz))
         assert is_zero(full_antisymmetrization(seven_leibniz))
 
-    def test_nple_arity3_matches_triple(self, a4, cs):
-        for alg in (a4, cs):
-            assert is_lie_nple(alg).passed == is_lie_triple(alg).passed
+    def test_nple_arity3_matches_triple(self, a4, cs, a13, a4_sum_a4):
+        # at l = 3 both generalizations reduce to Lie triple systems
+        skew_kept = perturb(perturb(cs, (1, 2, 3, 4), 1), (2, 1, 3, 4), -1)
+        assert check_skew(skew_kept, (1, 2)).passed
+        assert not is_zero(cyclic_sum(skew_kept))
+        cases = (a4, cs, zero_algebra(4, 3), a13, a4_sum_a4, corollary_self(a4), skew_kept)
+        verdicts = [is_lie_triple(alg).passed for alg in cases]
+        assert verdicts == [False, True, True, False, False, True, False]
+        for alg, triple in zip(cases, verdicts):
+            assert is_lie_nple(alg).passed == triple
+            assert is_lie_lple(alg).passed == triple
 
 
 class TestImplication:

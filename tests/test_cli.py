@@ -298,6 +298,15 @@ class TestOtherVerbs:
         out = json.loads(capsys.readouterr().out)
         assert (out["closure_dim"], out["kernel_dim"]) == (28, 8 ** 6 - 28)
 
+    def test_liealg_on_a_large_abelian_algebra(self, tmp_path, capsys):
+        # the closure guards each commutator round on its own work, and an
+        # empty ad span leaves no round to run
+        path = tmp_path / "zero.json"
+        assert run(["gen", "--family", "zero", "--n", "2", "--d", "2000", "-o", str(path)]) == 0
+        assert run(["liealg", str(path), "--kernel"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["closure_dim"], out["kernel_dim"]) == (0, 2000)
+
     def test_young_dim(self, capsys):
         assert run(["young", "dim", "--l", "3", "--r", "1", "--d", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["gl_dim"] == 20

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from naryalg import (
     Metric,
     NaryAlgebra,
     RationalTensor,
+    ShapeError,
     UnknownFixtureError,
     associated_leibniz,
     builtin,
@@ -31,6 +33,8 @@ from naryalg import (
     triple_from_lie,
     zero_algebra,
 )
+
+from change_of_basis import perturbed_a4
 
 
 def non_metric_3leibniz(d=2):
@@ -67,10 +71,6 @@ class TestSchouten:
     def test_cs_so4_instance(self, cs):
         assert is_zero(schouten_residual(cs))
 
-    def test_wrong_dimension_rejected(self, cs):
-        with pytest.raises(Exception):
-            schouten_residual(cs, d=5)
-
     def test_holds_even_without_metricity_assumption(self):
         # the identity is pure pigeonhole: any h works once its trace term
         # is kept, including this non-antisymmetric one
@@ -89,6 +89,19 @@ class TestAssociatedLeibniz:
         # half-scaled construction reproduces the cs-so4 bracket
         half = associated_leibniz(ConstructionInput(a4, a4, a4.metric, Fraction(1, 2)))
         assert half.f == cs.f
+
+    def test_bracket_is_the_raised_mixed_trace_for_any_metric(self, a4, cs, a13):
+        # g and its inverse cancel inside Tr(ad1 ad2), so the lowered bracket
+        # is the scaled mixed trace form whatever the metric
+        dense = Metric([[2, 1, 0, 0], [1, 3, 0, Fraction(1, 2)],
+                        [0, 0, -1, 0], [0, Fraction(1, 2), 0, 5]])
+        assert not dense.is_diagonal
+        pairs = ((a4, cs, Fraction(1, 2)), (cs, a4, Fraction(3, 7)),
+                 (a13, a4, 1), (perturbed_a4(), cs, -2))
+        for g in (Metric.lorentzian(1, 3), dense):
+            for l1, l2, p in pairs:
+                out = associated_leibniz(ConstructionInput(l1, l2, g, Fraction(p)), force=True)
+                assert out.lowered(g) == scale(mixed_trace(l1, l2).tensor, p)
 
     def test_postconditions_small_pairs(self, a4, a5):
         for L in (a4, a5):
@@ -185,6 +198,26 @@ class TestTripleFromLie:
         form = {((1, 2), (1, 3)): Fraction(1)}
         with pytest.raises(Exception):
             triple_from_lie(gens, form, Metric.euclidean(4))
+
+    def test_form_labels_must_be_pairs_in_range(self):
+        gens = so_rotation_generators(4)
+        for label in ((2, 1), (1, 5), (3, 3), (0, 1), (1, 2, 3)):
+            with pytest.raises(ShapeError, match="not a pair"):
+                triple_from_lie(gens, {(label, label): 1}, Metric.euclidean(4))
+
+    def test_entries_extend_the_form_antisymmetrically(self):
+        gens = so_rotation_generators(4)
+        form = {((1, 2), (1, 2)): 3, ((1, 3), (2, 4)): Fraction(-1, 2),
+                ((2, 4), (1, 3)): Fraction(-1, 2)}
+        out = triple_from_lie(gens, form, Metric.euclidean(4))
+        # reference: every index tuple, read through its sorted pairs
+        expect = {}
+        for a1, a2, b1, b2 in itertools.product(range(1, 5), repeat=4):
+            p, q = tuple(sorted((a1, a2))), tuple(sorted((b1, b2)))
+            if (p, q) in form:
+                sign = (1 if a1 < a2 else -1) * (1 if b1 < b2 else -1)
+                expect[(a1, a2, b1, b2)] = sign * form[(p, q)]
+        assert out.f.data == expect
 
     def test_non_orthogonal_generator_rejected(self):
         gens = {(1, 2): [[1, 0], [0, 0]]}

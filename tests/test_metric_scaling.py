@@ -64,3 +64,18 @@ def test_direct_sum_metric_equals_the_dense_block_matrix():
     assert metric == block
     assert hash(metric) == hash(block)
     assert metric.inverse == block.inverse
+
+
+def test_integral_diagonal_metric_is_written_as_diag(tmp_path):
+    path = tmp_path / "zero1000.json"
+    signs = [2] + [1] * 999
+    L = NaryAlgebra("z", 1000, 2, RationalTensor((1000,) * 3), Metric.diag(signs))
+    naryalg.save(L, path)
+    assert json.loads(path.read_text())["metric"] == {"diag": signs}
+    assert path.stat().st_size < 20_000
+    assert naryalg.load(path) == L
+    # "diag" holds nonzero integers only, so a rational diagonal stays a matrix
+    half = NaryAlgebra("h", 2, 2, RationalTensor((2,) * 3), Metric.diag([Fraction(1, 2), 1]))
+    naryalg.save(half, path)
+    assert json.loads(path.read_text())["metric"] == {"matrix": [["1/2", "0"], ["0", "1"]]}
+    assert naryalg.load(path) == half

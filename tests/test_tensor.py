@@ -122,7 +122,7 @@ class TestContract:
     def test_contract_through_metric_uses_inverse(self):
         g = Metric.diag([-1, 1])
         e1 = RationalTensor((2,), {(1,): 1})
-        got = contract(e1, (1,), e1, (1,), metric=g)
+        got = contract(e1, (1,), raise_lower(e1, 1, g, "raise"), (1,))
         assert got.shape == ()
         assert got.get(()) == -1
 
@@ -203,7 +203,12 @@ class TestContractDifferential:
     @given(contraction_cases())
     def test_matches_fraction_reference(self, case):
         t1, slots1, t2, slots2, metric = case
-        got = contract(t1, slots1, t2, slots2, metric=metric)
+        # with a metric, both contracted slots are lowered and joined
+        # through the inverse metric: raise t2's slots first
+        raised = t2
+        for s2 in slots2 if metric else ():
+            raised = raise_lower(raised, s2, metric, "raise")
+        got = contract(t1, slots1, raised, slots2)
         assert got.data == reference_contract(t1, slots1, t2, slots2, metric)
         assert all(type(v) is (int if v.denominator == 1 else Fraction)
                    for v in got.data.values())
