@@ -9,6 +9,7 @@ lexicographically first nonzero entry that violates the property.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -54,13 +55,14 @@ class Metric:
                                 for i, row in enumerate(rows, 1)})
 
     @classmethod
-    def _of_rows(cls, d: int, rows: dict) -> "Metric":
+    def _of_rows(cls, d: int, rows: dict, inverse_rows: dict | None = None) -> "Metric":
         metric = object.__new__(cls)
-        metric._build(d, rows)
+        metric._build(d, rows, inverse_rows)
         return metric
 
-    def _build(self, d: int, rows: dict) -> None:
-        """The one construction route: checks rows and computes the inverse.
+    def _build(self, d: int, rows: dict, inverse_rows: dict | None = None) -> None:
+        """The one construction route: checks rows and computes the inverse,
+        unless the caller already holds the inverse rows.
 
         rows holds nonzero ints and Fractions only, in ascending i and j.
         """
@@ -73,7 +75,9 @@ class Metric:
         if len(rows) != d or not all(rows.values()):
             raise ShapeError("metric is singular")
         self.is_diagonal = all(len(row) == 1 and i in row for i, row in rows.items())
-        if self.is_diagonal:
+        if inverse_rows is not None:
+            self.inverse_rows = inverse_rows
+        elif self.is_diagonal:
             # +1 and -1 are their own inverses
             self.inverse_rows = {i: {i: x if x in (1, -1) else _integral(Fraction(1) / x)}
                                  for i, row in rows.items() for x in row.values()}
@@ -218,20 +222,52 @@ class NaryAlgebra:
             self._cache["ad_rows"] = _group_ad(self.f)
         return self._cache["ad_rows"]
 
+    def skew_runs(self) -> tuple:
+        """The skew-block descriptor: maximal runs of input slots on which f
+        is skew, as 1-based (first, last) pairs covering 1..n in order.
+
+        Found once, by one scan per adjacent pair of input slots.
+        """
+        if "skew_runs" not in self._cache:
+            runs = [[1, 1]]
+            for k in range(self.n - 1):
+                if _skew_under_swap(self.f.data, k):
+                    runs[-1][1] = k + 2
+                else:
+                    runs.append([k + 2, k + 2])
+            self._cache["skew_runs"] = tuple(map(tuple, runs))
+        return self._cache["skew_runs"]
+
+    def block_sorted(self, first: int, last: int):
+        """Predicate on index tuples over input slots first..last: increasing
+        inside every skew run cut to those slots.
+
+        f at a permuted tuple is +-f at the block-sorted one, so the
+        block-sorted tuple is the lexicographically least of its orbit.
+        """
+        pairs = [s - first for lo, hi in self.skew_runs()
+                 for s in range(max(lo, first), min(hi, last))]
+        return lambda t: all(t[i] < t[i + 1] for i in pairs)
+
     def ad_span(self) -> list:
         """Basis (n-1)-tuples whose ad matrices span the whole ad space.
 
         A list of (A, ad_rows()[A]) in lexicographic order of A: a tuple is
         kept iff its ad matrix is independent of those kept before it, so
-        len(ad_span()) is the rank of A -> ad_A.
+        len(ad_span()) is the rank of A -> ad_A.  Only block-sorted tuples
+        are tried: a permuted tuple has +- the ad matrix of its block-sorted
+        one, which precedes it, so it is never kept.
         """
         if "ad_span" not in self._cache:
             d = self.d
             rows = self.ad_rows()
             guard(len(rows) * d * d, f"adjoint span({self.name})")
+            is_sorted = self.block_sorted(1, self.n - 1)
             eb = linalg.EchelonBasis(d * d)
             reps = []
             for a_tuple, mrows in sorted(rows.items()):
+                if not is_sorted(a_tuple):
+                    continue
                 vec = [0] * (d * d)
                 for l, row in mrows.items():
                     for s, val in row.items():
@@ -248,6 +284,24 @@ def _group_ad(t: RationalTensor) -> dict:
     for key, val in t.data.items():
         rows.setdefault(key[:-2], {}).setdefault(key[-2], {})[key[-1]] = val
     return rows
+
+
+def _skew_under_swap(data: dict, k: int) -> bool:
+    """Whether data[key] == -data[key with entries k, k+1 swapped] everywhere.
+
+    Looks up only the keys with key[k] < key[k+1]; each finds its own
+    partner, so equal counts on both sides make the pairing a bijection.
+    """
+    ahead = 0
+    for key, val in data.items():
+        a, b = key[k], key[k + 1]
+        if a < b:
+            if data.get(key[:k] + (b, a) + key[k + 2:]) != -val:
+                return False
+            ahead += 1
+        elif a == b:
+            return False
+    return 2 * ahead == len(data)
 
 
 def _zero_report(name: str, data: dict, detail: str = "") -> CheckReport:
@@ -302,10 +356,12 @@ def direct_sum(a: NaryAlgebra, b: NaryAlgebra) -> NaryAlgebra:
         data[tuple(i + a.d for i in key)] = val
     metric = None
     if a.metric is not None and b.metric is not None:
-        rows = dict(a.metric.rows)
-        for i, row in b.metric.rows.items():
-            rows[i + a.d] = {j + a.d: x for j, x in row.items()}
-        metric = Metric._of_rows(d, rows)
+        # the inverse of a block-diagonal metric is block-diagonal too
+        rows, inverse = dict(a.metric.rows), dict(a.metric.inverse_rows)
+        for mine, theirs in ((rows, b.metric.rows), (inverse, b.metric.inverse_rows)):
+            for i, row in theirs.items():
+                mine[i + a.d] = {j + a.d: x for j, x in row.items()}
+        metric = Metric._of_rows(d, rows, inverse)
     return NaryAlgebra(
         f"{a.name}+{b.name}", d, a.n, RationalTensor((d,) * (a.n + 1), data), metric
     )
@@ -376,6 +432,67 @@ def filippov_residual(L: NaryAlgebra) -> RationalTensor:
     return derivation_residual(L, L)
 
 
+def _resort(key: tuple, k: int, new: int, lo: int, hi: int):
+    """key, block-sorted, with entry k set to new and re-sorted inside its
+    run key[lo:hi]: (sign of that sort, new key), or (0, None) when new
+    repeats another entry of the run."""
+    rest = key[lo:k] + key[k + 1:hi]
+    pos = bisect_left(rest, new)
+    if pos < len(rest) and rest[pos] == new:
+        return 0, None
+    sign = -1 if (pos + lo - k) % 2 else 1
+    return sign, key[:lo] + rest[:pos] + (new,) + rest[pos:] + key[hi:]
+
+
+def _block_rows(L: NaryAlgebra):
+    """(rows, spans) for _sorted_slice_first, or None when f has no skew run
+    of two or more slots: rows maps each block-sorted input B of f to
+    {s: f_B^s}, one row per orbit, and spans[k] is the run (lo, hi) of slot
+    k, 0-based and half-open."""
+    runs = L.skew_runs()
+    if all(lo == hi for lo, hi in runs):
+        return None
+    is_sorted = L.block_sorted(1, L.n)
+    rows: dict = {}
+    for key, val in L.f.data.items():
+        if is_sorted(key):
+            rows.setdefault(key[:-1], {})[key[-1]] = val
+    return rows, [(lo - 1, hi) for lo, hi in runs for _ in range(lo, hi + 1)]
+
+
+def _sorted_slice_first(rows: dict, spans: list, y: tuple, mrows: dict) -> dict:
+    """The least nonzero entry of the derivation residual slice of ad_y, as a
+    dict of at most one entry keyed (B, y, s), from _block_rows.
+
+    The residual is skew on every run of f, so its least nonzero entry has a
+    block-sorted B.  Such a B is a row of f, or a row C with one entry C_k
+    replaced by some b with M_b^{C_k} != 0 and re-sorted; each candidate is
+    evaluated by direct lookups, in ascending order.
+    """
+    mcols = _matrix_cols(mrows)
+    cands = {b for b, frow in rows.items() if any(l in mrows for l in frow)}
+    for c in rows:
+        for k, (lo, hi) in enumerate(spans):
+            for b in mcols.get(c[k], ()):
+                sign, key = _resort(c, k, b, lo, hi)
+                if sign:
+                    cands.add(key)
+    for b in sorted(cands):
+        acc: dict = {}
+        for l, fv in rows.get(b, {}).items():
+            for s, mv in mrows.get(l, {}).items():
+                _acc(acc, s, fv * mv)
+        for k, (lo, hi) in enumerate(spans):
+            for l, mv in mrows.get(b[k], {}).items():
+                sign, key = _resort(b, k, l, lo, hi)
+                for s, fv in rows.get(key, {}).items() if sign else ():
+                    _acc(acc, s, -sign * mv * fv)
+        if acc:
+            s = min(acc)
+            return {b + y + (s,): acc[s]}
+    return {}
+
+
 def _derivation_report(name: str, l1: NaryAlgebra, l2: NaryAlgebra) -> CheckReport:
     """Exact check that every ad of l2 is a derivation of l1.
 
@@ -384,15 +501,21 @@ def _derivation_report(name: str, l1: NaryAlgebra, l2: NaryAlgebra) -> CheckRepo
     span members that precede it lexicographically, so wherever the full
     residual is nonzero at some input tuple, its least such ad2 tuple is a
     span member: the least first entry over the span slices is the full
-    residual's lexicographically first nonzero entry.
+    residual's lexicographically first nonzero entry.  When f has a skew run
+    of two or more slots, each slice is evaluated at block-sorted inputs only;
+    otherwise the whole slice is accumulated.
     """
     if l1.d != l2.d:
         raise ShapeError(f"dimension mismatch {l1.d} != {l2.d}")
     reps = l2.ad_span()
     guard(len(reps) * l1.f.nnz * (l1.n + 1), "adjoint-span derivation check")
+    block = _block_rows(l1)
     firsts = {}
     for y_tuple, mrows in reps:
-        res = _residual_slice(l1, y_tuple, mrows)
+        if block is None:
+            res = _residual_slice(l1, y_tuple, mrows)
+        else:
+            res = _sorted_slice_first(*block, y_tuple, mrows)
         if res:
             key = min(res)
             firsts[key] = res[key]
@@ -496,11 +619,18 @@ def _adjacent_swaps(rank: int, slots) -> list:
 
 
 def check_skew(L: NaryAlgebra, slots) -> CheckReport:
-    """Antisymmetry of the bracket under every transposition inside slots."""
+    """Antisymmetry of the bracket under every transposition inside slots.
+
+    Pairs of slots inside one run of L.skew_runs() are known to pass; the
+    others are compared entry by entry for the witness.
+    """
     slots = list(slots)
-    if not slots or slots[0] < 1 or slots[-1] > L.n:
+    if not slots or any(not 1 <= s <= L.n for s in slots):
         raise ShapeError(f"slots {slots} not within 1..{L.n}")
-    return _mismatch_report(L.f, "skew", _adjacent_swaps(L.n + 1, slots), -1)
+    run = {s: lo for lo, hi in L.skew_runs() for s in range(lo, hi + 1)}
+    moves = [move for a, b, move in zip(slots, slots[1:], _adjacent_swaps(L.n + 1, slots))
+             if a == b or run[a] != run[b]]
+    return _mismatch_report(L.f, "skew", moves, -1)
 
 
 def check_metricity(L: NaryAlgebra, metric: Metric | None = None) -> CheckReport:

@@ -99,12 +99,15 @@ def kasymov_nondegenerate(L: NaryAlgebra) -> CheckReport:
     The column k(., A', B) of the flattened form, A' = (a2..a_{n-1}), is
     linear in ad_B, so for each A' the columns with B in L.ad_span() span
     all of that A''s columns, and each of them is a column of the form.
-    Verdict and witness are those of nondegenerate(kasymov(L)).
+    Only block-sorted A' are streamed: a permuted A' gives +- the same
+    columns.  Verdict and witness are those of nondegenerate(kasymov(L)).
     """
     d = L.d
+    is_sorted = L.block_sorted(2, L.n - 1)
     groups: dict = {}
     for a_tuple, arows in L.ad_rows().items():
-        groups.setdefault(a_tuple[1:], []).append((a_tuple[0], arows))
+        if is_sorted(a_tuple[1:]):
+            groups.setdefault(a_tuple[1:], []).append((a_tuple[0], arows))
     reps = L.ad_span()
     guard(len(groups) * len(reps) * d, f"Kasymov rank test({L.name})")
 

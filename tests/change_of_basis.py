@@ -6,25 +6,42 @@ import math
 from fractions import Fraction
 
 from naryalg import Metric, NaryAlgebra, RationalTensor, builtin, linalg
+from naryalg.tensor import _acc
 
 
 def change_basis(L, new_basis):
-    """L in the basis e'_i = sum_j new_basis[i][j] e_j (rows are the new vectors)."""
+    """L in the basis e'_i = sum_j new_basis[i][j] e_j (rows are the new vectors).
+
+    Expands each entry of f over the nonzeros of new_basis in its input slots
+    and of the inverse transpose in its output slot.
+    """
     d, n = L.d, L.n
     inverse = linalg.invert(linalg.transpose(new_basis))
+    # new_vectors[j]: (i, x) with x = new_basis[i][j] != 0
+    new_vectors = [[(i, row[j]) for i, row in enumerate(new_basis, 1) if row[j]]
+                   for j in range(d)]
+    outputs = [[(k, inverse[k - 1][m]) for k in range(1, d + 1) if inverse[k - 1][m]]
+               for m in range(d)]
     data = {}
-    for idx in itertools.product(range(d), repeat=n):
-        out = [0] * d
-        for key, val in L.f.data.items():
-            coeff = val
-            for i, j in zip(idx, key[:-1]):
-                coeff *= new_basis[i][j - 1]
-            out[key[-1] - 1] += coeff
-        for k in range(d):
-            val = sum(inverse[k][m] * out[m] for m in range(d))
-            if val:
-                data[tuple(i + 1 for i in idx) + (k + 1,)] = val
+    for key, val in L.f.data.items():
+        for combo in itertools.product(*(new_vectors[j - 1] for j in key[:-1])):
+            idx = tuple(i for i, _ in combo)
+            coeff = val * math.prod(x for _, x in combo)
+            for k, y in outputs[key[-1] - 1]:
+                _acc(data, idx + (k,), coeff * y)
     return NaryAlgebra(f"{L.name}'", d, n, RationalTensor((d,) * (n + 1), data))
+
+
+def shears(d):
+    """Two invertible non-diagonal rational d x d matrices (rows are new vectors)."""
+    one = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    one[0][1] = Fraction(1, 2)
+    one[d - 1][0] = Fraction(-2, 3)
+    two = [[Fraction(i + 1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
+    two[1][2] = Fraction(3)
+    two[2][0] = Fraction(-1, 3)
+    two[d - 1][1] = Fraction(5, 4)
+    return [one, two]
 
 
 def rescale(L, t):

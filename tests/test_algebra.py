@@ -10,6 +10,7 @@ from naryalg import (
     Metric,
     NaryAlgebra,
     RationalTensor,
+    antisymmetrize,
     builtin,
     check_derivation,
     check_filippov,
@@ -35,10 +36,17 @@ from naryalg import (
     simple_filippov,
     zero_algebra,
 )
-from naryalg.algebra import _zero_report, from_json_dict, to_json_dict
-from naryalg.tensor import _integral
+from naryalg import algebra, linalg
+from naryalg.algebra import (
+    _adjacent_swaps,
+    _mismatch_report,
+    _zero_report,
+    from_json_dict,
+    to_json_dict,
+)
+from naryalg.tensor import _acc, _integral
 
-from change_of_basis import perturb, perturbed_a4
+from change_of_basis import change_basis, perturb, perturbed_a4, shears
 
 
 class TestSimpleFilippov:
@@ -157,6 +165,92 @@ class TestDerivationReportDifferential:
     def test_a4_sum_a4(self, a4_sum_a4):
         bad = perturb(a4_sum_a4, (5, 6, 7, 8), 3)
         assert_reports_are_first_residual_entries(itertools.product([a4_sum_a4, bad], repeat=2))
+
+
+@st.composite
+def block_skew_algebras(draw, d):
+    """A random sparse tensor antisymmetrized over a random run of input
+    slots, then a skew-preserving and a skew-breaking perturbation of it."""
+    n = draw(st.integers(2, 4))
+    lo = draw(st.integers(1, n - 1))
+    run = range(lo, draw(st.integers(lo + 1, n)) + 1)
+    keys = st.tuples(*[st.integers(1, d)] * (n + 1))
+    values = st.builds(lambda p, q: _integral(Fraction(p, q)),
+                       st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+    def skew(data):
+        return antisymmetrize(RationalTensor((d,) * (n + 1), data), run).data
+
+    base = skew(draw(st.dictionaries(keys, values, min_size=1, max_size=4)))
+    preserving = dict(base)
+    for key, val in skew({draw(keys): draw(values)}).items():
+        _acc(preserving, key, val)
+    breaking = dict(base)
+    _acc(breaking, draw(keys), draw(values))
+    return [NaryAlgebra(f"skew{lo}-{run[-1]}{tag}", d, n, RationalTensor((d,) * (n + 1), data))
+            for tag, data in (("", base), ("+p", preserving), ("+b", breaking))]
+
+
+def lexicographic_sweep(L):
+    """The adjoint span as a sweep over every ad row computes it."""
+    d = L.d
+    eb = linalg.EchelonBasis(d * d)
+    reps = []
+    for a_tuple, mrows in sorted(L.ad_rows().items()):
+        vec = [0] * (d * d)
+        for l, row in mrows.items():
+            for s, val in row.items():
+                vec[(l - 1) * d + (s - 1)] = val
+        if eb.insert(vec):
+            reps.append((a_tuple, mrows))
+    return reps
+
+
+class TestBlockRoute:
+    """The FI, derivation, span and skew checks on block-sorted keys give the
+    reports and spans of the full sweeps."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 4]).flatmap(block_skew_algebras))
+    def test_block_skew_algebras(self, algebras):
+        assert any(hi > lo for lo, hi in algebras[0].skew_runs())
+        assert_reports_are_first_residual_entries(itertools.product(algebras, repeat=2))
+        for L in algebras:
+            assert L.ad_span() == lexicographic_sweep(L)
+            every_slot = _adjacent_swaps(L.n + 1, range(1, L.n + 1))
+            assert check_skew(L, range(1, L.n + 1)) == _mismatch_report(L.f, "skew", every_slot, -1)
+
+    @pytest.mark.parametrize("name", ["A8", "seven-leibniz", "corollary-self(A5)", "cs-so4"])
+    def test_ad_span_is_the_full_sweep(self, name, a8, seven_leibniz, cs):
+        L = {"A8": a8, "seven-leibniz": seven_leibniz, "cs-so4": cs}.get(name)
+        if L is None:
+            L = corollary_self(builtin("A5"))
+        assert L.ad_span() == lexicographic_sweep(L)
+        if L.d < 8:
+            # a shear makes f dense while keeping every skew run
+            for P in shears(L.d):
+                sheared = change_basis(L, P)
+                assert sheared.skew_runs() == L.skew_runs()
+                assert sheared.ad_span() == lexicographic_sweep(sheared)
+
+    def test_skew_runs(self, a8, seven_leibniz, cs):
+        assert a8.skew_runs() == ((1, 7),)
+        assert seven_leibniz.skew_runs() == ((1, 6), (7, 7))
+        assert cs.skew_runs() == ((1, 2), (3, 3))
+        assert corollary_self(builtin("A6")).skew_runs() == ((1, 4), (5, 7))
+        assert perturbed_a4().skew_runs() == ((1, 1), (2, 2), (3, 3))
+
+    def test_full_slice_accumulation_is_not_used(self, monkeypatch, seven_leibniz, a8, a4_sum_a4):
+        def tripwire(*args):
+            raise AssertionError("a block-skew algebra took the full-slice route")
+
+        monkeypatch.setattr(algebra, "_derivation_terms", tripwire)
+        # fresh copies: check_filippov answers a second call from its memo
+        fresh = [NaryAlgebra(L.name, L.d, L.n, L.f, L.metric)
+                 for L in (seven_leibniz, a8, a4_sum_a4, builtin("A6"))]
+        assert check_filippov(fresh[0]).passed
+        assert check_derivation(fresh[1], fresh[2]).passed
+        assert check_filippov(fresh[3]).passed
 
 
 class TestSkew:

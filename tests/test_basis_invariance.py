@@ -12,19 +12,7 @@ import pytest
 from naryalg import Metric, builtin, direct_sum, kasymov_nondegenerate, linalg, zero_algebra
 from naryalg.adjoint import ad_kernel, centre, lie_closure
 
-from change_of_basis import change_basis
-
-
-def shears(d):
-    """Two invertible non-diagonal rational d x d matrices (rows are new vectors)."""
-    one = [[F(int(i == j)) for j in range(d)] for i in range(d)]
-    one[0][1] = F(1, 2)
-    one[d - 1][0] = F(-2, 3)
-    two = [[F(i + 1) if i == j else F(0) for j in range(d)] for i in range(d)]
-    two[1][2] = F(3)
-    two[2][0] = F(-1, 3)
-    two[d - 1][1] = F(5, 4)
-    return [one, two]
+from change_of_basis import change_basis, shears
 
 
 def invariants(L):

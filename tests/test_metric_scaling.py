@@ -66,6 +66,20 @@ def test_direct_sum_metric_equals_the_dense_block_matrix():
     assert metric.inverse == block.inverse
 
 
+def test_direct_sum_shifts_the_inverse_blocks(monkeypatch):
+    # each 2 x 2 inverse is within the guard (2 * 2^3 = 16); a Gauss-Jordan
+    # inverse of the 4 x 4 sum would need 128
+    monkeypatch.setenv("NARY_SIZE_GUARD", "16")
+    a = NaryAlgebra("a", 2, 2, RationalTensor((2, 2, 2)), Metric([[2, 1], [1, 3]]))
+    metric = direct_sum(a, a).metric
+    block = [[Fraction(3, 5), Fraction(-1, 5), 0, 0], [Fraction(-1, 5), Fraction(2, 5), 0, 0],
+             [0, 0, Fraction(3, 5), Fraction(-1, 5)], [0, 0, Fraction(-1, 5), Fraction(2, 5)]]
+    assert [list(row) for row in metric.inverse] == block
+    monkeypatch.delenv("NARY_SIZE_GUARD")
+    assert metric == Metric(metric.entries)
+    assert metric.inverse == Metric(metric.entries).inverse
+
+
 def test_integral_diagonal_metric_is_written_as_diag(tmp_path):
     path = tmp_path / "zero1000.json"
     signs = [2] + [1] * 999
