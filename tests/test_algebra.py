@@ -220,11 +220,12 @@ class TestBlockRoute:
             every_slot = _adjacent_swaps(L.n + 1, range(1, L.n + 1))
             assert check_skew(L, range(1, L.n + 1)) == _mismatch_report(L.f, "skew", every_slot, -1)
 
-    @pytest.mark.parametrize("name", ["A8", "seven-leibniz", "corollary-self(A5)", "cs-so4"])
-    def test_ad_span_is_the_full_sweep(self, name, a8, seven_leibniz, cs):
-        L = {"A8": a8, "seven-leibniz": seven_leibniz, "cs-so4": cs}.get(name)
-        if L is None:
+    @pytest.mark.parametrize("fixture", ["a8", "seven_leibniz", "cs", "corollary_self(A5)"])
+    def test_ad_span_is_the_full_sweep(self, fixture, request):
+        if fixture == "corollary_self(A5)":
             L = corollary_self(builtin("A5"))
+        else:
+            L = request.getfixturevalue(fixture)
         assert L.ad_span() == lexicographic_sweep(L)
         if L.d < 8:
             # a shear makes f dense while keeping every skew run
