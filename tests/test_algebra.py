@@ -10,6 +10,7 @@ from naryalg import (
     Metric,
     NaryAlgebra,
     RationalTensor,
+    ShapeError,
     antisymmetrize,
     builtin,
     check_derivation,
@@ -265,6 +266,11 @@ class TestSkew:
         report = check_skew(cs, [1, 2, 3])
         assert not report.passed
         assert report.witness == (1, 2, 1, 2)
+
+    @pytest.mark.parametrize("slots", [[], [0, 1], [1, 4], [4, 2]])
+    def test_slots_outside_the_inputs_rejected(self, cs, slots):
+        with pytest.raises(ShapeError, match="not within 1..3"):
+            check_skew(cs, slots)
 
 
 class TestMetricity:
