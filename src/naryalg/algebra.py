@@ -379,32 +379,33 @@ def _matrix_cols(rows: dict) -> dict:
     return cols
 
 
-def _derivation_terms(f: RationalTensor, arity: int, mrows: dict, out: dict):
-    """Accumulate  f_B^l M_l^s - sum_k M_{b_k}^l f_{..l..}^s  into out.
+def _derivation_terms(entries, spans: list, mrows: dict, out: dict):
+    """Accumulate  f_B^l M_l^s - sum_k M_{b_k}^l f_{..l..}^s  into out at
+    block-sorted B, keyed B + (s,).
 
-    mrows maps lower index l -> {upper s: value}.  Keys written are B + (s,).
+    entries are f's (key, value) pairs at block-sorted inputs and spans[k] is
+    the run (lo, hi) of input slot k, 0-based and half-open, as _block_entries
+    gives them; with one-slot spans every input is block-sorted.  mrows maps
+    lower index l -> {upper s: value}.  An entry f_C^s reaches the second term
+    at B = C with C_k replaced by b and re-sorted, with the sign of that sort.
     """
     mcols = _matrix_cols(mrows)
-    for key, val in f.data.items():
+    for key, val in entries:
         inputs, l0 = key[:-1], key[-1]
         row = mrows.get(l0)
         if row:
             for s, mv in row.items():
                 _acc(out, inputs + (s,), val * mv)
-        for k in range(arity):
+        for k, (lo, hi) in enumerate(spans):
             col = mcols.get(inputs[k])
             if col:
                 for b, mv in col.items():
-                    new = inputs[:k] + (b,) + inputs[k + 1:] + (l0,)
-                    _acc(out, new, -val * mv)
-
-
-def _residual_slice(l1: NaryAlgebra, y: tuple, mrows: dict) -> dict:
-    """Nonzero derivation residual of one ad_y, keyed (a1..an, y.., s)."""
-    # A small per-slice dict with short keys: most slices cancel to nothing.
-    acc: dict = {}
-    _derivation_terms(l1.f, l1.n, mrows, acc)
-    return {key[:-1] + y + (key[-1],): val for key, val in acc.items()}
+                    if hi - lo == 1:  # a one-slot run: nothing to re-sort
+                        _acc(out, key[:k] + (b,) + key[k + 1:], -val * mv)
+                        continue
+                    sign, new = _resort(key, k, b, lo, hi)
+                    if sign:
+                        _acc(out, new, -sign * val * mv)
 
 
 def derivation_residual(l1: NaryAlgebra, l2: NaryAlgebra) -> RationalTensor:
@@ -418,7 +419,10 @@ def derivation_residual(l1: NaryAlgebra, l2: NaryAlgebra) -> RationalTensor:
     guard(len(l2.ad_rows()) * l1.f.nnz * (l1.n + 1), "derivation_residual")
     out: dict = {}
     for y_tuple, mrows in sorted(l2.ad_rows().items()):
-        out.update(_residual_slice(l1, y_tuple, mrows))
+        # a small per-slice dict with short keys: most slices cancel to nothing
+        acc: dict = {}
+        _derivation_terms(l1.f.data.items(), [(k, k + 1) for k in range(l1.n)], mrows, acc)
+        out.update({key[:-1] + y_tuple + (key[-1],): val for key, val in acc.items()})
     return RationalTensor((l1.d,) * (l1.n + l2.n), out)
 
 
@@ -433,9 +437,9 @@ def filippov_residual(L: NaryAlgebra) -> RationalTensor:
 
 
 def _resort(key: tuple, k: int, new: int, lo: int, hi: int):
-    """key, block-sorted, with entry k set to new and re-sorted inside its
-    run key[lo:hi]: (sign of that sort, new key), or (0, None) when new
-    repeats another entry of the run."""
+    """key, block-sorted on its run key[lo:hi], with entry k set to new and
+    re-sorted inside that run: (sign of that sort, new key), or (0, None)
+    when new repeats another entry of the run."""
     rest = key[lo:k] + key[k + 1:hi]
     pos = bisect_left(rest, new)
     if pos < len(rest) and rest[pos] == new:
@@ -444,53 +448,12 @@ def _resort(key: tuple, k: int, new: int, lo: int, hi: int):
     return sign, key[:lo] + rest[:pos] + (new,) + rest[pos:] + key[hi:]
 
 
-def _block_rows(L: NaryAlgebra):
-    """(rows, spans) for _sorted_slice_first, or None when f has no skew run
-    of two or more slots: rows maps each block-sorted input B of f to
-    {s: f_B^s}, one row per orbit, and spans[k] is the run (lo, hi) of slot
-    k, 0-based and half-open."""
-    runs = L.skew_runs()
-    if all(lo == hi for lo, hi in runs):
-        return None
+def _block_entries(L: NaryAlgebra):
+    """(entries, spans) for _derivation_terms: f's (key, value) pairs at
+    block-sorted inputs, one per orbit and output, and the run of each slot."""
     is_sorted = L.block_sorted(1, L.n)
-    rows: dict = {}
-    for key, val in L.f.data.items():
-        if is_sorted(key):
-            rows.setdefault(key[:-1], {})[key[-1]] = val
-    return rows, [(lo - 1, hi) for lo, hi in runs for _ in range(lo, hi + 1)]
-
-
-def _sorted_slice_first(rows: dict, spans: list, y: tuple, mrows: dict) -> dict:
-    """The least nonzero entry of the derivation residual slice of ad_y, as a
-    dict of at most one entry keyed (B, y, s), from _block_rows.
-
-    The residual is skew on every run of f, so its least nonzero entry has a
-    block-sorted B.  Such a B is a row of f, or a row C with one entry C_k
-    replaced by some b with M_b^{C_k} != 0 and re-sorted; each candidate is
-    evaluated by direct lookups, in ascending order.
-    """
-    mcols = _matrix_cols(mrows)
-    cands = {b for b, frow in rows.items() if any(l in mrows for l in frow)}
-    for c in rows:
-        for k, (lo, hi) in enumerate(spans):
-            for b in mcols.get(c[k], ()):
-                sign, key = _resort(c, k, b, lo, hi)
-                if sign:
-                    cands.add(key)
-    for b in sorted(cands):
-        acc: dict = {}
-        for l, fv in rows.get(b, {}).items():
-            for s, mv in mrows.get(l, {}).items():
-                _acc(acc, s, fv * mv)
-        for k, (lo, hi) in enumerate(spans):
-            for l, mv in mrows.get(b[k], {}).items():
-                sign, key = _resort(b, k, l, lo, hi)
-                for s, fv in rows.get(key, {}).items() if sign else ():
-                    _acc(acc, s, -sign * mv * fv)
-        if acc:
-            s = min(acc)
-            return {b + y + (s,): acc[s]}
-    return {}
+    entries = [(key, val) for key, val in L.f.data.items() if is_sorted(key)]
+    return entries, [(lo - 1, hi) for lo, hi in L.skew_runs() for _ in range(lo, hi + 1)]
 
 
 def _derivation_report(name: str, l1: NaryAlgebra, l2: NaryAlgebra) -> CheckReport:
@@ -501,24 +464,22 @@ def _derivation_report(name: str, l1: NaryAlgebra, l2: NaryAlgebra) -> CheckRepo
     span members that precede it lexicographically, so wherever the full
     residual is nonzero at some input tuple, its least such ad2 tuple is a
     span member: the least first entry over the span slices is the full
-    residual's lexicographically first nonzero entry.  When f has a skew run
-    of two or more slots, each slice is evaluated at block-sorted inputs only;
-    otherwise the whole slice is accumulated.
+    residual's lexicographically first nonzero entry.  Each slice is
+    accumulated at block-sorted inputs only: the residual keeps every skew of
+    f, so its least nonzero entry has a block-sorted input tuple.
     """
     if l1.d != l2.d:
         raise ShapeError(f"dimension mismatch {l1.d} != {l2.d}")
     reps = l2.ad_span()
     guard(len(reps) * l1.f.nnz * (l1.n + 1), "adjoint-span derivation check")
-    block = _block_rows(l1)
+    entries, spans = _block_entries(l1)
     firsts = {}
     for y_tuple, mrows in reps:
-        if block is None:
-            res = _residual_slice(l1, y_tuple, mrows)
-        else:
-            res = _sorted_slice_first(*block, y_tuple, mrows)
-        if res:
-            key = min(res)
-            firsts[key] = res[key]
+        acc: dict = {}
+        _derivation_terms(entries, spans, mrows, acc)
+        if acc:
+            key = min(acc)
+            firsts[key[:-1] + y_tuple + (key[-1],)] = acc[key]
     return _zero_report(name, firsts)
 
 

@@ -242,17 +242,29 @@ class TestBlockRoute:
         assert corollary_self(builtin("A6")).skew_runs() == ((1, 4), (5, 7))
         assert perturbed_a4().skew_runs() == ((1, 1), (2, 2), (3, 3))
 
-    def test_full_slice_accumulation_is_not_used(self, monkeypatch, seven_leibniz, a8, a4_sum_a4):
-        def tripwire(*args):
-            raise AssertionError("a block-skew algebra took the full-slice route")
+    def test_report_reads_one_entry_per_orbit(self, monkeypatch, seven_leibniz, a8, a4_sum_a4):
+        sizes = []
+        real = algebra._derivation_terms
 
-        monkeypatch.setattr(algebra, "_derivation_terms", tripwire)
+        def counted(entries, *args):
+            sizes.append(len(entries))
+            return real(entries, *args)
+
+        monkeypatch.setattr(algebra, "_derivation_terms", counted)
         # fresh copies: check_filippov answers a second call from its memo
-        fresh = [NaryAlgebra(L.name, L.d, L.n, L.f, L.metric)
-                 for L in (seven_leibniz, a8, a4_sum_a4, builtin("A6"))]
-        assert check_filippov(fresh[0]).passed
-        assert check_derivation(fresh[1], fresh[2]).passed
-        assert check_filippov(fresh[3]).passed
+        seven, a6 = (NaryAlgebra(L.name, L.d, L.n, L.f, L.metric)
+                     for L in (seven_leibniz, builtin("A6")))
+        # nnz over the size of one orbit of the skew runs' permutations
+        for check, entries in ((lambda: check_filippov(seven), 17_280 // 720),
+                               (lambda: check_derivation(a8, a4_sum_a4), 40_320 // 5_040),
+                               (lambda: check_filippov(a6), 720 // 120)):
+            sizes.clear()
+            assert check().passed
+            assert sizes and set(sizes) == {entries}
+        # no skew run of two or more slots: every input is block-sorted
+        sizes.clear()
+        assert not check_filippov(perturbed_a4()).passed
+        assert set(sizes) == {perturbed_a4().f.nnz}
 
 
 class TestSkew:

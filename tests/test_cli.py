@@ -206,7 +206,7 @@ class TestFilippovMemo:
     def test_seven_leibniz_filippov_nple(self, tmp_path, capsys, monkeypatch, seven_leibniz):
         path = tmp_path / "seven.json"
         save(seven_leibniz, path)
-        slices = count_calls(monkeypatch, algebra, "_sorted_slice_first")
+        slices = count_calls(monkeypatch, algebra, "_derivation_terms")
         assert run(["check", str(path), "--suite", "filippov"]) == 0
         once = len(slices)
         assert once == 12  # the ad-span rank of seven-leibniz
@@ -217,7 +217,7 @@ class TestFilippovMemo:
     def test_a6_suite_all(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "a6.json"
         assert run(["gen", "--family", "A", "--n", "5", "-o", str(path)]) == 0
-        slices = count_calls(monkeypatch, algebra, "_sorted_slice_first")
+        slices = count_calls(monkeypatch, algebra, "_derivation_terms")
         assert run(["check", str(path), "--suite", "filippov"]) == 0
         once = len(slices)
         assert once == 15  # the ad-span rank of A6, not its 360 ad rows
