@@ -696,8 +696,35 @@ def full_antisymmetrization(L: NaryAlgebra) -> RationalTensor:
     return antisymmetrize(L.f, range(1, L.n + 1), normalized=False)
 
 
+def _rotation_least_sum(L: NaryAlgebra) -> dict:
+    """cyclic_sum(L) at its keys whose inputs are their own least rotation.
+
+    Each entry of f is added once, at the least rotation of its inputs,
+    times the number of shifts that reach it.
+    """
+    guard(L.f.nnz * L.n, f"cyclic_sum({L.name})")
+    out: dict = {}
+    for key, val in L.f.data.items():
+        inputs = key[:-1]
+        low = min(inputs)
+        rotations = [inputs[k:] + inputs[:k] for k, i in enumerate(inputs) if i == low]
+        least = min(rotations)
+        _acc(out, least + key[-1:], val * rotations.count(least))
+    return out
+
+
 def check_cyclic(L: NaryAlgebra) -> CheckReport:
-    return _zero_report("cyclic", cyclic_sum(L).data)
+    """Vanishing of cyclic_sum(L), decided once per algebra.
+
+    The cyclic sum is invariant under rotating its inputs, so it vanishes
+    iff it vanishes where the inputs are their least rotation, and its
+    lexicographically first nonzero entry sits at such a key: the report is
+    that of cyclic_sum(L), without building the sum.
+    """
+    report = L._cache.get("cyclic")
+    if report is None:
+        report = L._cache["cyclic"] = _zero_report("cyclic", _rotation_least_sum(L))
+    return report
 
 
 def is_lie_triple(L: NaryAlgebra) -> CheckReport:
@@ -768,24 +795,45 @@ def to_json_dict(L: NaryAlgebra) -> dict:
 
 
 def _read_entries(entries, d: int, rank: int, with_out: bool) -> dict:
-    """Entry list -> {index tuple: value}; the index is "in" (+ "out")."""
+    """Entry list -> {index tuple: nonzero value}; the index is "in" (+ "out").
+
+    An entry is a JSON object, or a pair _entry_hook made of one: (index
+    tuple of ints, literal).  A pair's literal is parsed once per distinct
+    literal; a pair that fails a check is turned back into its object, whose
+    checks name the fault.  Zero values count for the duplicate check and
+    are then dropped.
+    """
     if not isinstance(entries, list):
         raise AlgebraFileError("'entries' must be a list")
     data = {}
+    values: dict = {}  # literal -> value, for the pairs
     for ent in entries:
-        try:
-            idx = tuple(ent["in"]) + ((ent["out"],) if with_out else ())
-            val = parse_rational(ent["val"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise AlgebraFileError(f"bad entry {ent!r}: {exc}") from exc
-        if len(idx) != rank:
-            raise AlgebraFileError(f"entry {ent!r} has wrong index count")
-        # type() rather than isinstance(): JSON true/false are not indices
-        if any(type(i) is not int or not 1 <= i <= d for i in idx):
-            raise AlgebraFileError(f"entry index {idx} out of 1..{d}")
+        if type(ent) is tuple:
+            idx, text = ent
+            val = values.get(text)
+            if val is None:
+                try:
+                    val = values[text] = parse_rational(text)
+                except ValueError:
+                    pass
+            if val is None or len(idx) != rank or (idx and (min(idx) < 1 or max(idx) > d)):
+                ent = _entry_object(ent, with_out)
+        if type(ent) is not tuple:
+            try:
+                idx = tuple(ent["in"]) + ((ent["out"],) if with_out else ())
+                val = parse_rational(ent["val"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise AlgebraFileError(f"bad entry {ent!r}: {exc}") from exc
+            if len(idx) != rank:
+                raise AlgebraFileError(f"entry {ent!r} has wrong index count")
+            # type() rather than isinstance(): JSON true/false are not indices
+            if any(type(i) is not int or not 1 <= i <= d for i in idx):
+                raise AlgebraFileError(f"entry index {idx} out of 1..{d}")
         if idx in data:
             raise AlgebraFileError(f"duplicate entry for index {idx}")
         data[idx] = val
+    if not all(data.values()):
+        data = {idx: val for idx, val in data.items() if val}
     return data
 
 
@@ -809,7 +857,7 @@ def from_json_dict(obj: dict) -> NaryAlgebra:
         raise AlgebraFileError(f"'verified' must be true or false, got {verified!r}")
     data = _read_entries(entries, d, n + 1, with_out=True)
     metric = _metric_from_json(obj["metric"], d) if "metric" in obj else None
-    L = NaryAlgebra(name, d, n, RationalTensor((d,) * (n + 1), data), metric)
+    L = NaryAlgebra(name, d, n, RationalTensor._trusted((d,) * (n + 1), data), metric)
     L.verified = verified
     return L
 
@@ -852,12 +900,65 @@ def _write_file(header: dict, t: RationalTensor, path, with_out: bool) -> None:
         fh.write("\n ]\n}\n" if keys else "]\n}\n")
 
 
-def _read_json(path):
+def _read_json(path, object_hook=None):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
         except json.JSONDecodeError as exc:
             raise AlgebraFileError(f"not valid JSON: {exc}") from exc
+
+
+def _entry_hook(with_out: bool):
+    """json object_hook: an entry object -> (index tuple, literal) pair.
+
+    Only an object with exactly the writer's fields in the writer's order,
+    int indices and a string literal becomes a pair, so _entry_object
+    rebuilds it exactly; anything else stays a dict for _read_entries.
+    """
+    fields = ["in", "out", "val"] if with_out else ["in", "val"]
+    literals: dict = {}  # one str object per distinct literal
+
+    def hook(obj):
+        if list(obj) != fields:
+            return obj
+        ins, text = obj["in"], obj["val"]
+        out = obj["out"] if with_out else 0
+        if (type(ins) is not list or type(out) is not int or type(text) is not str
+                or not all(type(i) is int for i in ins)):
+            return obj
+        return ((*ins, out) if with_out else tuple(ins)), literals.setdefault(text, text)
+
+    return hook
+
+
+def _entry_object(pair: tuple, with_out: bool) -> dict:
+    """The JSON object _entry_hook turned into pair."""
+    idx, text = pair
+    if not with_out:
+        return {"in": list(idx), "val": text}
+    return {"in": list(idx[:-1]), "out": idx[-1], "val": text}
+
+
+def _read_entry_file(path, with_out: bool):
+    """An algebra or trace-form file as JSON, its entries parsed into pairs
+    as they are read, so no per-entry dicts are kept.
+
+    json never makes tuples, so every tuple is a pair.  A pair anywhere but
+    directly in the top-level "entries" list is turned back into its object:
+    every other field, and every entry left a dict, reads as plain JSON.
+    """
+    root = [_read_json(path, _entry_hook(with_out))]
+    entries = root[0].get("entries") if type(root[0]) is dict else None
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for k, v in (node.items() if type(node) is dict else enumerate(node)):
+            if type(v) is tuple:
+                if node is not entries:
+                    node[k] = _entry_object(v, with_out)
+            elif type(v) is dict or type(v) is list:
+                stack.append(v)
+    return root[0]
 
 
 def save(L: NaryAlgebra, path) -> None:
@@ -865,4 +966,4 @@ def save(L: NaryAlgebra, path) -> None:
 
 
 def load(path) -> NaryAlgebra:
-    return from_json_dict(_read_json(path))
+    return from_json_dict(_read_entry_file(path, with_out=True))

@@ -15,7 +15,7 @@ from .algebra import (
     Coordinates,
     NaryAlgebra,
     _read_entries,
-    _read_json,
+    _read_entry_file,
     _write_file,
 )
 from .tensor import RationalTensor, ShapeError, contract, format_rational, guard
@@ -146,8 +146,12 @@ def from_json_dict(obj: dict) -> TraceForm:
         raise AlgebraFileError(f"bad trace form file: {exc}") from exc
     if type(d) is not int or d < 0 or type(slots) is not int or slots < 0:
         raise AlgebraFileError(f"bad dim/slots ({d!r}, {slots!r})")
+    # the form of an arity-n and an arity-m algebra has n-1 + m-1 slots
+    if (type(arity1) is not int or type(arity2) is not int or arity1 < 2 or arity2 < 2
+            or arity1 + arity2 - 2 != slots):
+        raise AlgebraFileError(f"bad arity1/arity2 ({arity1!r}, {arity2!r}) for {slots} slots")
     data = _read_entries(entries, d, slots, with_out=False)
-    return TraceForm(arity1, arity2, RationalTensor((d,) * slots, data))
+    return TraceForm(arity1, arity2, RationalTensor._trusted((d,) * slots, data))
 
 
 def save(k: TraceForm, path, name: str = "trace-form") -> None:
@@ -155,4 +159,4 @@ def save(k: TraceForm, path, name: str = "trace-form") -> None:
 
 
 def load(path) -> TraceForm:
-    return from_json_dict(_read_json(path))
+    return from_json_dict(_read_entry_file(path, with_out=False))

@@ -64,10 +64,14 @@ def parse_rational(text: str):
 
     Anything else is malformed.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if not match:
         raise ValueError(f"malformed rational literal {text!r}")
+    if match.group(1) is None:
+        return int(text)
+    num, _, den = text.partition("/")
     try:
-        return _integral(Fraction(text))
+        return _integral(Fraction(int(num), int(den)))
     except ZeroDivisionError as exc:
         raise ValueError(f"malformed rational literal {text!r}") from exc
 

@@ -13,6 +13,7 @@ from naryalg import (
     ShapeError,
     antisymmetrize,
     builtin,
+    check_cyclic,
     check_derivation,
     check_filippov,
     check_full_antisym_lowered,
@@ -388,6 +389,39 @@ class TestCyclicAndTriple:
         for alg, triple in zip(cases, verdicts):
             assert is_lie_nple(alg).passed == triple
             assert is_lie_lple(alg).passed == triple
+
+
+def assert_cyclic_report_is_the_sums(L):
+    """check_cyclic reports the first nonzero entry of cyclic_sum(L)."""
+    # a fresh copy: check_cyclic answers a second call from its memo
+    fresh = NaryAlgebra(L.name, L.d, L.n, L.f, L.metric)
+    assert check_cyclic(fresh) == _zero_report("cyclic", cyclic_sum(L).data)
+
+
+class TestRotationLeastCyclic:
+    """The cyclic verdict at rotation-least keys is the full cyclic sum's."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 4]).flatmap(block_skew_algebras))
+    def test_block_skew_algebras(self, algebras):
+        for L in algebras:
+            assert_cyclic_report_is_the_sums(L)
+
+    @pytest.mark.parametrize("n, entries", [
+        (3, {(1, 1, 1, 2): 1}),                          # stabilizer of order 3
+        (4, {(1, 2, 1, 2, 1): 1}),                       # order 2
+        (4, {(2, 1, 2, 1, 1): Fraction(1, 2), (1, 2, 1, 2, 1): 1, (1, 1, 2, 2, 2): -1}),
+        (4, {(2, 1, 2, 1, 1): 1, (1, 2, 1, 2, 1): -1}),  # the orbit cancels
+        (2, {(2, 2, 1): 3, (1, 2, 2): 1, (2, 1, 2): -1}),
+    ])
+    def test_inputs_with_a_rotation_stabilizer(self, n, entries):
+        L = NaryAlgebra("stabilized", 2, n, RationalTensor((2,) * (n + 1), entries))
+        assert_cyclic_report_is_the_sums(L)
+
+    def test_fixtures(self, a4, a5, cs, a4_sum_a4, seven_leibniz, a8):
+        for L in (a4, a5, cs, a4_sum_a4, seven_leibniz, a8, perturbed_a4(),
+                  perturb(seven_leibniz, (1, 2, 3, 4, 5, 6, 7, 8), 1)):
+            assert_cyclic_report_is_the_sums(L)
 
 
 class TestImplication:

@@ -238,6 +238,27 @@ class TestFilippovMemo:
         capsys.readouterr()
 
 
+class TestCyclicMemo:
+    """One cyclic verdict per loaded algebra: cyclic, nple and triple share it."""
+
+    def test_cs_so4_suite_all(self, tmp_path, capsys, monkeypatch, cs):
+        path = tmp_path / "cs.json"
+        save(cs, path)
+        sums = count_calls(monkeypatch, algebra, "_rotation_least_sum")
+        assert run(["check", str(path), "--suite", "all"]) == 1  # not skew in slot 3
+        checks = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["cyclic"] and checks["nple"] and checks["triple"]
+        assert len(sums) == 1
+
+    def test_seven_leibniz_cyclic_nple(self, tmp_path, capsys, monkeypatch, seven_leibniz):
+        path = tmp_path / "seven.json"
+        save(seven_leibniz, path)
+        sums = count_calls(monkeypatch, algebra, "_rotation_least_sum")
+        assert run(["check", str(path), "--suite", "cyclic,nple"]) == 0
+        assert len(sums) == 1
+        capsys.readouterr()
+
+
 class TestFilippovWitness:
     def test_span_witness_is_the_full_residuals_first_entry(self, tmp_path, capsys, a6):
         # A6+A6 with its largest entry doubled: the full residual's first

@@ -1,4 +1,5 @@
-"""The streamed file writer against json.dump, and its memory footprint.
+"""The streamed file writer against json.dump, and the memory footprint of
+writing and reading large files.
 
 `algebra.save` and `forms.save` format the entries from a fixed template
 instead of going through json; json.dump of `to_json_dict` stays the
@@ -15,6 +16,7 @@ import pytest
 
 import naryalg
 from naryalg import Metric, algebra, builtin, forms, zero_algebra
+from naryalg.cli import run
 
 from change_of_basis import rescale
 
@@ -97,3 +99,29 @@ def test_kasymov_write_peak_memory(tmp_path):
     peak_mb = int(done.stdout) / 1024
     # the json.dump writer and Fraction contraction peaked at about 220 MB
     assert peak_mb < 150
+
+
+LOAD_CHILD = """
+import sys
+from naryalg import algebra
+algebra.load(sys.argv[1])
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_load_peak_memory(tmp_path):
+    # gen runs here: its own peak is above that of the load being measured
+    path = tmp_path / "a8.json"
+    assert run(["gen", "--family", "A", "--n", "7", "-o", str(path)]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(naryalg.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", LOAD_CHILD, str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120, check=True,
+    )
+    peak_mb = int(done.stdout) / 1024
+    # 40,320 entries: about 38 MB when the whole JSON tree of entry dicts was
+    # built before the entries were read, about 28 MB parsing them as json reads
+    assert peak_mb < 33

@@ -211,6 +211,22 @@ class TestTraceFormIO:
         with pytest.raises(AlgebraFileError):
             forms.from_json_dict(obj)
 
+    @pytest.mark.parametrize("arities", [
+        {"arity1": True, "arity2": "x"},
+        {"arity1": 2.0, "arity2": 2},
+        {"arity1": 3, "arity2": 1},
+        {"arity1": 2, "arity2": 3},
+        {"arity1": 3},
+    ], ids=["bool-and-string", "float", "below-two", "wrong-sum", "implied-below-two"])
+    def test_bad_arities_rejected(self, arities):
+        obj = {"dim": 2, "slots": 2, **arities, "entries": []}
+        with pytest.raises(AlgebraFileError, match="arity1/arity2"):
+            forms.from_json_dict(obj)
+
+    def test_arities_default_from_slots(self):
+        k = forms.from_json_dict({"dim": 2, "slots": 5, "entries": []})
+        assert (k.arity1, k.arity2) == (3, 4)
+
     def test_non_integer_dim_rejected(self):
         obj = {"dim": "2", "slots": 2, "entries": [{"in": [1, 2], "val": "1"}]}
         with pytest.raises(AlgebraFileError):
