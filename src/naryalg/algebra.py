@@ -12,6 +12,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 
 from . import linalg
@@ -863,7 +864,7 @@ def from_json_dict(obj: dict) -> NaryAlgebra:
 
 
 # Entries per write() call of the streamed writer.
-_WRITE_CHUNK = 4096
+_WRITE_CHUNK = 1024
 
 
 def _entry_template(rank: int, with_out: bool) -> str:
@@ -877,27 +878,27 @@ def _entry_template(rank: int, with_out: bool) -> str:
     return "\n".join(lines)
 
 
-def _write_file(header: dict, t: RationalTensor, path, with_out: bool) -> None:
-    """Write header plus t's entries, byte for byte as json.dump(indent=1) and a
-    newline would write them with the entries last.
+def _write_file(header: dict, texts, path) -> None:
+    """Write header plus the entry texts, given in sorted key order, byte for
+    byte as json.dump(indent=1) and a newline would write them with the
+    entries last.
 
     The header goes through json, so its escaping and layout are json's.  The
     entries hold only ints and rational literals, which need no escaping, so
-    they are formatted from a fixed template and written in chunks.  With
-    with_out the last index of a key is written as "out".
+    each text is laid out as _entry_template lays out its entry; they are
+    written in chunks.
     """
     head = json.dumps(header, indent=1)
-    keys = sorted(t.data)
-    data = t.data
-    template = _entry_template(t.rank, with_out)
+    texts = iter(texts)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-2])                 # drop the closing "\n}"
         fh.write(',\n "entries": [')
-        for start in range(0, len(keys), _WRITE_CHUNK):
-            fh.write(",\n" if start else "\n")
-            fh.write(",\n".join([template % (key + (format_rational(data[key]),))
-                                 for key in keys[start:start + _WRITE_CHUNK]]))
-        fh.write("\n ]\n}\n" if keys else "]\n}\n")
+        sep = "\n"
+        while chunk := list(islice(texts, _WRITE_CHUNK)):
+            fh.write(sep)
+            fh.write(",\n".join(chunk))
+            sep = ",\n"
+        fh.write("]\n}\n" if sep == "\n" else "\n ]\n}\n")
 
 
 def _read_json(path, object_hook=None):
@@ -906,6 +907,8 @@ def _read_json(path, object_hook=None):
             return json.load(fh, object_hook=object_hook)
         except json.JSONDecodeError as exc:
             raise AlgebraFileError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise AlgebraFileError(f"JSON nested too deeply: {exc}") from exc
 
 
 def _entry_hook(with_out: bool):
@@ -962,7 +965,10 @@ def _read_entry_file(path, with_out: bool):
 
 
 def save(L: NaryAlgebra, path) -> None:
-    _write_file(_header(L), L.f, path, with_out=True)
+    template = _entry_template(L.n + 1, with_out=True)
+    data = L.f.data
+    _write_file(_header(L), (template % (key + (format_rational(data[key]),))
+                             for key in sorted(data)), path)
 
 
 def load(path) -> NaryAlgebra:

@@ -2,11 +2,21 @@
 
 kasymov(L) carries no 1/2 prefactor; callers that want the half-normalized
 variants scale it themselves.
+
+A trace form is computed and kept once per orbit.  f is skew on its input
+runs, so k(X, Y) = Tr(ad1_X ad2_Y) is skew on X's runs and on Y's runs, and
+mixed_trace contracts only f's entries at block-sorted X and h's at
+block-sorted Y.  One expansion, in sorted key order, serves both readers of
+the whole form: TraceForm.tensor, built on demand, and save, which streams
+the entries into the file writer without building the tensor.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .algebra import (
@@ -14,32 +24,104 @@ from .algebra import (
     CheckReport,
     Coordinates,
     NaryAlgebra,
+    _entry_template,
     _read_entries,
     _read_entry_file,
     _write_file,
 )
-from .tensor import RationalTensor, ShapeError, contract, format_rational, guard
+from .tensor import RationalTensor, ShapeError, _parity, contract, format_rational, guard
 
 
 @dataclass
 class TraceForm:
-    """Tr(ad1_X ad2_Y) on basis tuples; first n-1 slots from L1, last m-1 from L2."""
+    """Tr(ad1_X ad2_Y) on basis tuples; first n-1 slots from L1, last m-1 from L2.
+
+    orbits holds one entry per orbit: the form at its block-sorted keys,
+    increasing inside each of runs, the 1-based (first, last) slot runs it is
+    skew on.  A form read from a file has one-slot runs, so its orbits are
+    all of its entries.
+    """
 
     arity1: int
     arity2: int
-    tensor: RationalTensor
+    orbits: RationalTensor
+    runs: tuple
 
     @property
     def d(self) -> int:
-        return self.tensor.shape[0] if self.tensor.shape else 0
+        return self.orbits.shape[0] if self.orbits.shape else 0
+
+    @cached_property
+    def tensor(self) -> RationalTensor:
+        """Every entry of the form."""
+        data = {head + tail: val if sign > 0 else -val
+                for head, sign, tails in _expansion_rows(self) for tail, val in tails}
+        return RationalTensor._trusted(self.orbits.shape, data)
+
+
+def _expansion_rows(k: TraceForm):
+    """The rows of _rows for all of k, once k's size passes the guard."""
+    lengths = tuple(hi - lo + 1 for lo, hi in k.runs)
+    guard(k.orbits.nnz * math.prod(map(math.factorial, lengths)), "trace form expansion")
+    return _rows(sorted(k.orbits.data.items()), lengths)
+
+
+def _rows(items: list, lengths: tuple):
+    """Expand sorted (key, value) orbit entries, skew on consecutive slot runs
+    of the given lengths, into rows (head, sign, tails) in sorted key order.
+
+    A row stands for the entries head + tail, valued sign * value, for each
+    (tail, value) in tails.  head is a permutation of the first run's part of
+    a key and tails the sorted expansion of the rest; tails is one list per
+    sorted head, shared by all of its permutations.
+    """
+    h, rest = lengths[0], lengths[1:]
+    groups = ((srt, _expand([(key[h:], val) for key, val in group], rest))
+              for srt, group in itertools.groupby(items, key=lambda item: item[0][:h]))
+    if h == 1:
+        # every head is its own orbit: stream, keeping one head's tails at a time
+        for head, tails in groups:
+            yield head, 1, tails
+        return
+    shared = dict(groups)
+    heads = sorted((perm, _parity(perm), srt)
+                   for srt in shared for perm in itertools.permutations(srt))
+    for perm, sign, srt in heads:
+        yield perm, sign, shared[srt]
+
+
+def _expand(items: list, lengths: tuple) -> list:
+    """The sorted (key, value) entries of the expansion of items (see _rows)."""
+    if all(h == 1 for h in lengths):
+        return items
+    return [(head + tail, val if sign > 0 else -val)
+            for head, sign, tails in _rows(items, lengths) for tail, val in tails]
+
+
+def _input_runs(L: NaryAlgebra, shift: int) -> tuple:
+    """L's skew runs cut to the first n-1 input slots, shifted by shift."""
+    return tuple((lo + shift, min(hi, L.n - 1) + shift)
+                 for lo, hi in L.skew_runs() if lo < L.n)
+
+
+def _sorted_inputs(L: NaryAlgebra) -> RationalTensor:
+    """L.f at the keys whose first n-1 inputs are block-sorted."""
+    is_sorted = L.block_sorted(1, L.n - 1)
+    return RationalTensor._trusted(
+        L.f.shape, {key: val for key, val in L.f.data.items() if is_sorted(key)})
 
 
 def mixed_trace(l1: NaryAlgebra, l2: NaryAlgebra) -> TraceForm:
-    """k(X, Y) = Tr(ad1_X ad2_Y) = sum_{b,c} f_{X b}^c h_{Y c}^b."""
+    """k(X, Y) = Tr(ad1_X ad2_Y) = sum_{b,c} f_{X b}^c h_{Y c}^b.
+
+    Contracted from f's entries at block-sorted X and h's at block-sorted Y
+    only, which gives k at its block-sorted keys: one entry per orbit.
+    """
     if l1.d != l2.d:
         raise ShapeError(f"dimension mismatch: {l1.d} != {l2.d}")
-    k = contract(l1.f, (l1.n, l1.n + 1), l2.f, (l2.n + 1, l2.n))
-    return TraceForm(l1.n, l2.n, k)
+    n, m = l1.n, l2.n
+    k = contract(_sorted_inputs(l1), (n, n + 1), _sorted_inputs(l2), (m + 1, m))
+    return TraceForm(n, m, k, _input_runs(l1, 0) + _input_runs(l2, n - 1))
 
 
 def kasymov(L: NaryAlgebra) -> TraceForm:
@@ -124,7 +206,7 @@ def kasymov_nondegenerate(L: NaryAlgebra) -> CheckReport:
 
 def _header(k: TraceForm, name: str) -> dict:
     """Every field of the trace form file except "entries"."""
-    return {"name": name, "dim": k.d, "slots": k.tensor.rank,
+    return {"name": name, "dim": k.d, "slots": k.orbits.rank,
             "arity1": k.arity1, "arity2": k.arity2}
 
 
@@ -151,11 +233,36 @@ def from_json_dict(obj: dict) -> TraceForm:
             or arity1 + arity2 - 2 != slots):
         raise AlgebraFileError(f"bad arity1/arity2 ({arity1!r}, {arity2!r}) for {slots} slots")
     data = _read_entries(entries, d, slots, with_out=False)
-    return TraceForm(arity1, arity2, RationalTensor._trusted((d,) * slots, data))
+    return TraceForm(arity1, arity2, RationalTensor._trusted((d,) * slots, data),
+                     tuple((s, s) for s in range(1, slots + 1)))
+
+
+def _entry_texts(rows):
+    """The file text of each entry of the rows, in their order.
+
+    Each permuted head is formatted once, and the tail texts of a sorted
+    head once for each sign, then shared by all of its permutations.
+    """
+    lead, sep, close = _entry_template(2, with_out=False).split("%d")
+    shared: dict = {}
+    for head, sign, tails in rows:
+        opening = lead + sep.join(map(str, head))
+        key = (tuple(sorted(head)), sign)
+        texts = shared.get(key)
+        if texts is None:
+            texts = ["".join([sep + str(i) for i in tail])
+                     + close % format_rational(val if sign > 0 else -val)
+                     for tail, val in tails]
+            if len(head) > 1:
+                shared[key] = texts
+        for text in texts:
+            yield opening + text
 
 
 def save(k: TraceForm, path, name: str = "trace-form") -> None:
-    _write_file(_header(k, name), k.tensor, path, with_out=False)
+    """Write k's file, streaming its expansion; the size guard is checked
+    before the file is opened."""
+    _write_file(_header(k, name), _entry_texts(_expansion_rows(k)), path)
 
 
 def load(path) -> TraceForm:

@@ -5,8 +5,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from naryalg import Metric, NaryAlgebra, RationalTensor, builtin, linalg
-from naryalg.tensor import _acc
+from hypothesis import strategies as st
+
+from naryalg import Metric, NaryAlgebra, RationalTensor, antisymmetrize, builtin, linalg
+from naryalg.tensor import _acc, _integral
 
 
 def change_basis(L, new_basis):
@@ -68,3 +70,27 @@ def perturb(L, key, value):
 def perturbed_a4():
     """A_4 with one structure constant changed to 2 (breaks the FI)."""
     return perturb(builtin("A4"), (1, 2, 3, 4), 2)
+
+
+@st.composite
+def block_skew_algebras(draw, d):
+    """A random sparse tensor antisymmetrized over a random run of input
+    slots, then a skew-preserving and a skew-breaking perturbation of it."""
+    n = draw(st.integers(2, 4))
+    lo = draw(st.integers(1, n - 1))
+    run = range(lo, draw(st.integers(lo + 1, n)) + 1)
+    keys = st.tuples(*[st.integers(1, d)] * (n + 1))
+    values = st.builds(lambda p, q: _integral(Fraction(p, q)),
+                       st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+    def skew(data):
+        return antisymmetrize(RationalTensor((d,) * (n + 1), data), run).data
+
+    base = skew(draw(st.dictionaries(keys, values, min_size=1, max_size=4)))
+    preserving = dict(base)
+    for key, val in skew({draw(keys): draw(values)}).items():
+        _acc(preserving, key, val)
+    breaking = dict(base)
+    _acc(breaking, draw(keys), draw(values))
+    return [NaryAlgebra(f"skew{lo}-{run[-1]}{tag}", d, n, RationalTensor((d,) * (n + 1), data))
+            for tag, data in (("", base), ("+p", preserving), ("+b", breaking))]

@@ -11,7 +11,6 @@ from naryalg import (
     NaryAlgebra,
     RationalTensor,
     ShapeError,
-    antisymmetrize,
     builtin,
     check_cyclic,
     check_derivation,
@@ -46,9 +45,9 @@ from naryalg.algebra import (
     from_json_dict,
     to_json_dict,
 )
-from naryalg.tensor import _acc, _integral
+from naryalg.tensor import _integral
 
-from change_of_basis import change_basis, perturb, perturbed_a4, shears
+from change_of_basis import block_skew_algebras, change_basis, perturb, perturbed_a4, shears
 
 
 class TestSimpleFilippov:
@@ -167,30 +166,6 @@ class TestDerivationReportDifferential:
     def test_a4_sum_a4(self, a4_sum_a4):
         bad = perturb(a4_sum_a4, (5, 6, 7, 8), 3)
         assert_reports_are_first_residual_entries(itertools.product([a4_sum_a4, bad], repeat=2))
-
-
-@st.composite
-def block_skew_algebras(draw, d):
-    """A random sparse tensor antisymmetrized over a random run of input
-    slots, then a skew-preserving and a skew-breaking perturbation of it."""
-    n = draw(st.integers(2, 4))
-    lo = draw(st.integers(1, n - 1))
-    run = range(lo, draw(st.integers(lo + 1, n)) + 1)
-    keys = st.tuples(*[st.integers(1, d)] * (n + 1))
-    values = st.builds(lambda p, q: _integral(Fraction(p, q)),
-                       st.integers(-3, 3).filter(bool), st.integers(1, 3))
-
-    def skew(data):
-        return antisymmetrize(RationalTensor((d,) * (n + 1), data), run).data
-
-    base = skew(draw(st.dictionaries(keys, values, min_size=1, max_size=4)))
-    preserving = dict(base)
-    for key, val in skew({draw(keys): draw(values)}).items():
-        _acc(preserving, key, val)
-    breaking = dict(base)
-    _acc(breaking, draw(keys), draw(values))
-    return [NaryAlgebra(f"skew{lo}-{run[-1]}{tag}", d, n, RationalTensor((d,) * (n + 1), data))
-            for tag, data in (("", base), ("+p", preserving), ("+b", breaking))]
 
 
 def lexicographic_sweep(L):

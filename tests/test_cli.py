@@ -290,10 +290,14 @@ class TestOtherVerbs:
         path = tmp_path / "a6.json"
         assert run(["gen", "--family", "A", "--n", "5", "-o", str(path)]) == 0
         out = tmp_path / "k.json"
-        monkeypatch.setenv("NARY_SIZE_GUARD", "1000")
+        # the expansion is guarded on its own estimate, orbits x 4! x 4! =
+        # 15 x 576 = 8640 entries, before the output file is opened
+        monkeypatch.setenv("NARY_SIZE_GUARD", "8639")
         assert run(["kasymov", str(path), "-o", str(out)]) == 3
-        assert "contract: 17280 exceeds size guard 1000" in capsys.readouterr().err
+        assert "trace form expansion: 8640 exceeds size guard 8639" in capsys.readouterr().err
         assert not out.exists()
+        monkeypatch.setenv("NARY_SIZE_GUARD", "8640")
+        assert run(["kasymov", str(path), "-o", str(out)]) == 0
 
     def test_liealg(self, a4_file, capsys):
         assert run(["liealg", str(a4_file), "--kernel", "--centre"]) == 0
@@ -367,6 +371,18 @@ class TestErrorPaths:
         path.write_text(json.dumps(obj), encoding="utf-8")
         assert run(["check", str(path), "--suite", "metricity"]) == 2
         assert capsys.readouterr().err.startswith("naryalg: error:")
+
+    @pytest.mark.parametrize("verb", [["check", "{deep}", "--suite", "all"], ["kasymov", "{deep}"],
+                                      ["check", "{a4}", "--suite", "metricity", "--metric", "{deep}"]],
+                             ids=["check", "kasymov", "metric-file"])
+    def test_deeply_nested_json(self, verb, tmp_path, a4_file, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "k.json"
+        argv = [arg.format(deep=deep, a4=a4_file) for arg in verb]
+        assert run(argv + (["-o", str(out)] if verb[0] == "kasymov" else [])) == 2
+        assert capsys.readouterr().err.startswith("naryalg: error: JSON nested too deeply")
+        assert not out.exists()
 
     def test_unknown_suite_name(self, a4_file, capsys):
         assert run(["check", str(a4_file), "--suite", "bogus"]) == 2

@@ -2,14 +2,16 @@
 writing and reading large files.
 
 `algebra.save` and `forms.save` format the entries from a fixed template
-instead of going through json; json.dump of `to_json_dict` stays the
-reference, and the files must match it byte for byte.
+instead of going through json (`forms.save` streams a trace form's orbit
+expansion); json.dump of `to_json_dict` stays the reference, and the files
+must match it byte for byte.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ import naryalg
 from naryalg import Metric, algebra, builtin, forms, zero_algebra
 from naryalg.cli import run
 
-from change_of_basis import rescale
+from change_of_basis import perturbed_a4, rescale
 
 
 def reference_bytes(obj, path) -> bytes:
@@ -64,12 +66,34 @@ def test_trace_form_files_match_json_dump(tmp_path):
     r6 = rescale(builtin("A6"), (1, 2, 3, 4, 5, 6))
     s6 = rescale(builtin("A6"), (3, 1, 6, 2, 5, 4))
     cases = [
+        (forms.kasymov(builtin("A4")), "kasymov(A4)"),
         (forms.kasymov(r6), "kasymov(A6*t)"),
         (forms.mixed_trace(r6, s6), 'mixed "A6" é'),
+        (forms.mixed_trace(builtin("A8"), builtin("a4-sum-a4")), "seven"),
+        (forms.kasymov(perturbed_a4()), "no run of two slots"),
         (forms.kasymov(zero_algebra(3, 3)), "empty"),
     ]
     for form, name in cases:
         assert_same_file(forms.save, forms.to_json_dict, form, tmp_path, name)
+        # a loaded form has one-slot runs: saved again, it is the same file
+        saved = (tmp_path / "saved.json").read_bytes()
+        loaded = forms.load(tmp_path / "saved.json")
+        assert all(lo == hi for lo, hi in loaded.runs)
+        assert_same_file(forms.save, forms.to_json_dict, loaded, tmp_path, name)
+        assert (tmp_path / "saved.json").read_bytes() == saved
+
+
+def test_kasymov_save_allocates_one_orbit_expansion_at_a_time(tmp_path):
+    a7 = builtin("A7")
+    tracemalloc.start()
+    try:
+        forms.save(forms.kasymov(a7), tmp_path / "k7.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 302,400 entries from 21 orbits: about 48 MB when the whole form was
+    # contracted and kept, about 1.7 MB streaming its expansion
+    assert peak < 8 << 20
 
 
 # gen A7 and write its Kasymov form (302,400 entries) in one child process,

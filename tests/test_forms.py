@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naryalg import (
     ConstructionInput,
@@ -20,9 +22,9 @@ from naryalg import (
     zero_algebra,
 )
 from naryalg import AlgebraFileError, forms, linalg
-from naryalg.tensor import SizeGuardError
+from naryalg.tensor import SizeGuardError, contract
 
-from change_of_basis import change_basis, rescale
+from change_of_basis import block_skew_algebras, change_basis, perturbed_a4, rescale, shears
 
 
 def trace_of_ads(L1, L2, a_indices, b_indices):
@@ -94,6 +96,65 @@ class TestMixedTrace:
             L = simple_filippov(n, [1] * (n + 1))
             half = scale(mixed_trace(L, L).tensor, Fraction(1, 2))
             assert half == signed_delta_tensor(n, n + 1)
+
+
+def assert_is_the_plain_contraction(l1, l2):
+    """The orbit form equals the contraction of every entry of f and h, and
+    holds one entry at the block-sorted key of each orbit."""
+    k = mixed_trace(l1, l2)
+    n, m = l1.n, l2.n
+    plain = contract(l1.f, (n, n + 1), l2.f, (m + 1, m))
+    assert k.tensor == plain
+    assert list(k.tensor.data) == sorted(plain.data)
+    assert k.orbits.data == {key: val for key, val in plain.data.items()
+                             if all(key[s] < key[s + 1] for lo, hi in k.runs
+                                    for s in range(lo - 1, hi - 1))}
+
+
+class TestOrbitTraceForm:
+    """mixed_trace contracts one entry of f and h per orbit; its expansion is
+    the plain contraction of every entry."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 4]).flatmap(block_skew_algebras))
+    def test_block_skew_algebras(self, algebras):
+        for l1, l2 in itertools.product(algebras, repeat=2):
+            assert_is_the_plain_contraction(l1, l2)
+
+    @pytest.mark.parametrize("name", ["A4", "cs-so4", "A5"])
+    def test_shears(self, name):
+        L = builtin(name)
+        for P in shears(L.d):
+            sheared = change_basis(L, P)
+            assert sheared.skew_runs() == L.skew_runs()
+            assert_is_the_plain_contraction(sheared, sheared)
+            assert_is_the_plain_contraction(sheared, L)
+
+    def test_mixed_arities(self, a8, a4_sum_a4, seven_leibniz, a4, cs):
+        assert_is_the_plain_contraction(a8, a4_sum_a4)
+        assert_is_the_plain_contraction(a4_sum_a4, a8)
+        assert_is_the_plain_contraction(seven_leibniz, a4_sum_a4)
+        assert_is_the_plain_contraction(a4, cs)
+        assert_is_the_plain_contraction(builtin("A5"), direct_sum(a4, zero_algebra(1, 3)))
+
+    def test_no_run_of_two_slots(self, a4):
+        bent = perturbed_a4()
+        assert bent.skew_runs() == ((1, 1), (2, 2), (3, 3))
+        assert kasymov(bent).runs == ((1, 1), (2, 2), (3, 3), (4, 4))
+        for l1, l2 in itertools.product([bent, a4], repeat=2):
+            assert_is_the_plain_contraction(l1, l2)
+
+    def test_one_entry_per_orbit(self, a6):
+        k = kasymov(a6)
+        assert k.runs == ((1, 4), (5, 8))
+        # C(6, 2) orbits, each of 4! x 4! entries
+        assert (k.orbits.nnz, k.tensor.nnz) == (15, 15 * 24 * 24)
+
+    def test_expansion_is_guarded(self, a6, monkeypatch):
+        monkeypatch.setenv("NARY_SIZE_GUARD", "8639")
+        k = kasymov(a6)
+        with pytest.raises(SizeGuardError, match="trace form expansion: 8640"):
+            k.tensor
 
 
 class TestValueRule:
