@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import NaryAlgebra
-from .tensor import ShapeError, guard
+from .tensor import ShapeError, _acc, guard
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,27 @@ class LieClosure:
     from_generators: int
 
 
+def _dense(mat: dict, d: int) -> list:
+    """The d x d list of rows of a sparse {row: {col: value}} matrix."""
+    rows = linalg.zeros_matrix(d)
+    for i, row in mat.items():
+        for j, val in row.items():
+            rows[i][j] = val
+    return rows
+
+
+def _commutator(a: dict, b: dict) -> dict:
+    """ab - ba of sparse {row: {col: value}} matrices, zeros dropped."""
+    out: dict = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for i, row in x.items():
+            acc = out.setdefault(i, {})
+            for k, u in row.items():
+                for j, v in y.get(k, {}).items():
+                    _acc(acc, j, sign * u * v)
+    return {i: row for i, row in out.items() if row}
+
+
 def lie_closure(L: NaryAlgebra) -> LieClosure:
     """Commutator closure of the basis adjoint matrices.
 
@@ -134,24 +155,27 @@ def lie_closure(L: NaryAlgebra) -> LieClosure:
     which are exactly those, in lexicographic order, that are independent of
     the ones before them; commutators are added breadth-first until the span
     is stable.  The insertion order makes the returned basis deterministic.
-    Each round is guarded on its own work: one 2d^3 product and one reduction
-    against the basis per commutator.
+    Matrices are kept and multiplied as sparse {row: {col: value}} dicts, and
+    only densified on return.  A pair (i, j) with j < i both in the frontier
+    is skipped: [b_j, b_i] was reduced earlier in the round, so its negative
+    lies in the span.  Each round is guarded on its own work: one 2d^3
+    product and one reduction against the basis per commutator.
     """
     d = L.d
     eb = linalg.EchelonBasis(d * d)
     basis = []
 
-    def insert(mat) -> bool:
-        if eb.insert([mat[i][j] for i in range(d) for j in range(d)]):
+    def insert(mat: dict) -> bool:
+        if eb.insert([x for row in _dense(mat, d) for x in row]):
             basis.append(mat)
             return True
         return False
 
     for _, mrows in L.ad_span():
-        mat = linalg.zeros_matrix(d)
+        mat: dict = {}
         for b, row in mrows.items():
             for c, val in row.items():
-                mat[c - 1][b - 1] = val
+                mat.setdefault(c - 1, {})[b - 1] = val
         insert(mat)
     from_generators = len(basis)
 
@@ -159,16 +183,18 @@ def lie_closure(L: NaryAlgebra) -> LieClosure:
     while frontier:
         guard(len(frontier) * len(basis) * (2 * d ** 3 + len(basis) * d * d),
               f"lie_closure({L.name})")
-        fresh = []
+        # the frontier is the run of indices added in the last round
+        first, fresh = frontier[0], []
         for i in frontier:
             for j in range(len(basis)):
-                if i == j:
+                if j == i or first <= j < i:
                     continue
-                comm = linalg.commutator(basis[i], basis[j])
-                if not linalg.mat_is_zero(comm) and insert(comm):
+                comm = _commutator(basis[i], basis[j])
+                if comm and insert(comm):
                     fresh.append(len(basis) - 1)
         frontier = fresh
-    return LieClosure(basis=basis, dim=len(basis), from_generators=from_generators)
+    return LieClosure(basis=[_dense(mat, d) for mat in basis], dim=len(basis),
+                      from_generators=from_generators)
 
 
 def _kernel_of_slots(L: NaryAlgebra, lo: int, hi: int):

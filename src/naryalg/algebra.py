@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from . import linalg
 from .tensor import (
@@ -220,7 +220,7 @@ class NaryAlgebra:
     def ad_rows(self) -> dict:
         """Group f by the first n-1 slots: A -> {l: {s: value}}."""
         if "ad_rows" not in self._cache:
-            self._cache["ad_rows"] = _group_ad(self.f)
+            self._cache["ad_rows"] = _group_ad(self.f.data, self.f.data)
         return self._cache["ad_rows"]
 
     def skew_runs(self) -> tuple:
@@ -240,15 +240,20 @@ class NaryAlgebra:
         return self._cache["skew_runs"]
 
     def block_sorted(self, first: int, last: int):
-        """Predicate on index tuples over input slots first..last: increasing
+        """Predicate on keys of f: increasing on input slots first..last
         inside every skew run cut to those slots.
 
-        f at a permuted tuple is +-f at the block-sorted one, so the
-        block-sorted tuple is the lexicographically least of its orbit.
+        f at a permuted key is +-f at the block-sorted one, so the
+        block-sorted key is the lexicographically least of its orbit.
         """
-        pairs = [s - first for lo, hi in self.skew_runs()
+        pairs = [s - 1 for lo, hi in self.skew_runs()
                  for s in range(max(lo, first), min(hi, last))]
-        return lambda t: all(t[i] < t[i + 1] for i in pairs)
+        if not pairs:
+            return lambda t: True
+        lo, hi = itemgetter(*pairs), itemgetter(*[i + 1 for i in pairs])
+        if len(pairs) == 1:
+            return lambda t: lo(t) < hi(t)
+        return lambda t: all(map(lt, lo(t), hi(t)))
 
     def ad_span(self) -> list:
         """Basis (n-1)-tuples whose ad matrices span the whole ad space.
@@ -256,19 +261,18 @@ class NaryAlgebra:
         A list of (A, ad_rows()[A]) in lexicographic order of A: a tuple is
         kept iff its ad matrix is independent of those kept before it, so
         len(ad_span()) is the rank of A -> ad_A.  Only block-sorted tuples
-        are tried: a permuted tuple has +- the ad matrix of its block-sorted
-        one, which precedes it, so it is never kept.
+        are tried, and only their entries of f are grouped: a permuted tuple
+        has +- the ad matrix of its block-sorted one, which precedes it, so
+        it is never kept.
         """
         if "ad_span" not in self._cache:
             d = self.d
-            rows = self.ad_rows()
+            data = self.f.data
+            rows = _group_ad(data, filter(self.block_sorted(1, self.n - 1), data))
             guard(len(rows) * d * d, f"adjoint span({self.name})")
-            is_sorted = self.block_sorted(1, self.n - 1)
             eb = linalg.EchelonBasis(d * d)
             reps = []
             for a_tuple, mrows in sorted(rows.items()):
-                if not is_sorted(a_tuple):
-                    continue
                 vec = [0] * (d * d)
                 for l, row in mrows.items():
                     for s, val in row.items():
@@ -279,11 +283,12 @@ class NaryAlgebra:
         return self._cache["ad_span"]
 
 
-def _group_ad(t: RationalTensor) -> dict:
-    """Group t by all but its last two slots: A -> {l: {s: value}}."""
+def _group_ad(data: dict, keys) -> dict:
+    """Group data's entries at keys by all but their last two slots:
+    A -> {l: {s: value}}."""
     rows: dict = {}
-    for key, val in t.data.items():
-        rows.setdefault(key[:-2], {}).setdefault(key[-2], {})[key[-1]] = val
+    for key in keys:
+        rows.setdefault(key[:-2], {}).setdefault(key[-2], {})[key[-1]] = data[key]
     return rows
 
 

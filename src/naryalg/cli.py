@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -171,20 +172,20 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # the suite is judged before the file is read
+    requested = [name.strip() for name in args.suite.split(",") if name.strip()]
+    if not requested:
+        raise UsageError(f"--suite {args.suite!r} names no check")
+    for name in requested:
+        if name != "all" and name not in CHECKS:
+            raise UsageError(f"unknown check {name!r}")
     L = algebra.load(args.file)
     metric = _parse_metric(args.metric, L.d, L.metric)
-    names = []
-    for name in args.suite.split(","):
-        name = name.strip()
-        if name == "all":
-            names.extend(_expand_all(L))
-        elif name:
-            names.append(name)
+    names = [each for name in requested
+             for each in (_expand_all(L) if name == "all" else [name])]
     timings: dict | None = {} if args.timings else None
     checks = []
     for name in names:
-        if name not in CHECKS:
-            raise UsageError(f"unknown check {name!r}")
         t0 = time.perf_counter()
         checks.append(CHECKS[name][0](L, metric))
         if timings is not None:
@@ -251,11 +252,38 @@ def _cmd_liealg(args) -> int:
     return EXIT_PASS
 
 
+def _printable_gl_dimension(shape: young.YoungShape, d: int) -> int:
+    """young.gl_dimension, refused once it has more digits than an int may
+    print (sys.get_int_max_str_digits()).
+
+    comb(n, k) >= (n/k)^k for k <= n/2 bounds its digits from below, so a
+    dimension far too long to print is refused before it is computed.
+    """
+    # 0 means no limit, as on Pythons older than the limit itself
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    l, r = shape.l, shape.r
+    if limit and d >= l - r:
+        low = math.log10((l - 2 * r + 1) / (l - r + 1))
+        for n, k in ((d + 1, r), (d, l - r)):
+            k = min(k, n - k)
+            if k:
+                low += k * math.log10(n / k)
+        if low <= limit + 1:
+            value = young.gl_dimension(shape, d)
+            if value < 10 ** limit:
+                return value
+        raise SizeGuardError(f"young dim: the dimension has more than {limit} digits, "
+                             "the most an integer may print")
+    return young.gl_dimension(shape, d)
+
+
 def _cmd_young(args) -> int:
     if args.young_cmd == "dim":
+        if args.d < 0:
+            raise UsageError(f"--d must be a non-negative integer, got {args.d}")
         shape = young.YoungShape(args.l, args.r)
         out = {"l": args.l, "r": args.r, "d": args.d,
-               "gl_dim": young.gl_dimension(shape, args.d)}
+               "gl_dim": _printable_gl_dimension(shape, args.d)}
     else:
         L = algebra.load(args.file)
         components = young.classify_bracket(L, force=args.force)

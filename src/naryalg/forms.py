@@ -25,6 +25,7 @@ from .algebra import (
     Coordinates,
     NaryAlgebra,
     _entry_template,
+    _group_ad,
     _read_entries,
     _read_entry_file,
     _write_file,
@@ -170,7 +171,8 @@ def nondegenerate(k: TraceForm) -> CheckReport:
 
 
 def _trace_product(arows: dict, brows: dict):
-    """Tr(ad_A ad_B) = sum_{l,s} f_{A l}^s f_{B s}^l, from two ad_rows() values."""
+    """Tr(ad_A ad_B) = sum_{l,s} f_{A l}^s f_{B s}^l, from the {l: {s: value}}
+    rows of ad_A and ad_B."""
     return sum(val * brows[s].get(l, 0) for l, row in arows.items()
                for s, val in row.items() if s in brows)
 
@@ -181,15 +183,14 @@ def kasymov_nondegenerate(L: NaryAlgebra) -> CheckReport:
     The column k(., A', B) of the flattened form, A' = (a2..a_{n-1}), is
     linear in ad_B, so for each A' the columns with B in L.ad_span() span
     all of that A''s columns, and each of them is a column of the form.
-    Only block-sorted A' are streamed: a permuted A' gives +- the same
-    columns.  Verdict and witness are those of nondegenerate(kasymov(L)).
+    Only block-sorted A' are grouped and streamed: a permuted A' gives +-
+    the same columns.  Verdict and witness are those of nondegenerate(kasymov(L)).
     """
     d = L.d
-    is_sorted = L.block_sorted(2, L.n - 1)
+    data = L.f.data
     groups: dict = {}
-    for a_tuple, arows in L.ad_rows().items():
-        if is_sorted(a_tuple[1:]):
-            groups.setdefault(a_tuple[1:], []).append((a_tuple[0], arows))
+    for a_tuple, arows in _group_ad(data, filter(L.block_sorted(2, L.n - 1), data)).items():
+        groups.setdefault(a_tuple[1:], []).append((a_tuple[0], arows))
     reps = L.ad_span()
     guard(len(groups) * len(reps) * d, f"Kasymov rank test({L.name})")
 

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naryalg import (
     FundamentalObject,
+    NaryAlgebra,
     ad_kernel,
     ad_matrix,
     ad_of_sum,
@@ -13,13 +16,20 @@ from naryalg import (
     centre,
     compose,
     compose_sums,
+    corollary_self,
     direct_sum,
+    kasymov,
+    kasymov_nondegenerate,
     lie_closure,
+    nondegenerate,
     simple_filippov,
     zero_algebra,
 )
-from naryalg import linalg
+from naryalg import forms, linalg
 from naryalg.tensor import SizeGuardError
+
+from change_of_basis import block_skew_algebras, change_basis, perturbed_a4, shears
+from test_algebra import lexicographic_sweep
 
 
 def random_object(L, rng):
@@ -230,6 +240,72 @@ class TestClosureFromSpan:
         # basis pairs i < j, not of all 12 ordered pairs
         assert len(L.ad_rows()) == 12
         assert first - (len(inserts) - first) == 6
+
+
+def kasymov_rank_over_every_group(L):
+    """Reference kasymov_nondegenerate for forms too large to build: the same
+    columns, streamed for every A' = (a2..a_{n-1}) grouped from ad_rows()."""
+    groups = {}
+    for a_tuple, arows in L.ad_rows().items():
+        groups.setdefault(a_tuple[1:], []).append((a_tuple[0], arows))
+
+    def columns():
+        for rest in sorted(groups):
+            for _, brows in L.ad_span():
+                col = [0] * L.d
+                for first, arows in groups[rest]:
+                    col[first - 1] = forms._trace_product(arows, brows)
+                yield col
+
+    return forms._rank_report(columns(), L.d)
+
+
+def assert_orbit_adjoint_layer(L, kasymov_reference):
+    """The ad span, the Kasymov rank test and the sparse closure against their
+    full references; the first two never group all of f."""
+    L = NaryAlgebra(L.name, L.d, L.n, L.f, L.metric)  # a fresh cache
+    span, report, closure = L.ad_span(), kasymov_nondegenerate(L), lie_closure(L)
+    assert "ad_rows" not in L._cache
+    assert span == lexicographic_sweep(L)
+    assert report == kasymov_reference(L)
+    assert (closure.basis, closure.from_generators) == closure_over_all_generators(L)
+    assert closure.dim == len(closure.basis)
+
+
+def materialized_kasymov_rank(L):
+    return nondegenerate(kasymov(L))
+
+
+class TestOrbitAdjointLayer:
+    """The adjoint layer built from block-sorted entries and sparse products
+    gives the spans, verdicts and closures of the full sweeps."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 4]).flatmap(block_skew_algebras))
+    def test_block_skew_algebras(self, algebras):
+        for L in algebras:
+            assert_orbit_adjoint_layer(L, materialized_kasymov_rank)
+
+    @pytest.mark.parametrize("make", [
+        lambda: change_basis(builtin("A4"), shears(4)[0]),
+        lambda: change_basis(builtin("A4"), shears(4)[1]),
+        lambda: builtin("cs-so4"), lambda: corollary_self(builtin("A5")), perturbed_a4,
+    ], ids=["A4-shear1", "A4-shear2", "cs-so4", "corollary_self(A5)", "perturbed-A4"])
+    def test_fixtures(self, make):
+        assert_orbit_adjoint_layer(make(), materialized_kasymov_rank)
+
+    @pytest.mark.parametrize("fixture", ["a8", "seven_leibniz"])
+    def test_large_fixtures(self, fixture, request):
+        # their Kasymov forms have 14.5 M and 6.2 M entries: the reference
+        # streams the same columns over every ad_rows() group instead
+        assert_orbit_adjoint_layer(request.getfixturevalue(fixture),
+                                   kasymov_rank_over_every_group)
+
+    def test_commutator_rounds(self):
+        # perturbed A4 is the fixture whose commutators leave the span of its
+        # generators, so its closure depends on the frontier rounds
+        closure = lie_closure(perturbed_a4())
+        assert (closure.dim, closure.from_generators) == (15, 7)
 
 
 class TestKernel:

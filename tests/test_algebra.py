@@ -135,7 +135,7 @@ class TestFilippovIdentity:
     def test_span_route_is_guarded(self, a4, cs, monkeypatch):
         from naryalg import SizeGuardError
 
-        # between the ad-span estimate of cs-so4 (12 x 4 x 4 = 192) and the
+        # between the ad-span estimate of cs-so4 (6 x 4 x 4 = 96) and the
         # span check's estimate for (A4, cs-so4) (6 slices x 24 x 4 = 576)
         monkeypatch.setenv("NARY_SIZE_GUARD", "300")
         with pytest.raises(SizeGuardError, match="adjoint-span derivation check"):
@@ -210,6 +210,20 @@ class TestBlockRoute:
                 sheared = change_basis(L, P)
                 assert sheared.skew_runs() == L.skew_runs()
                 assert sheared.ad_span() == lexicographic_sweep(sheared)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 4]).flatmap(block_skew_algebras))
+    def test_block_sorted_is_the_generator_predicate(self, algebras):
+        # the predicate block_sorted had before it read keys through two
+        # itemgetters: a generator over the tuple of slots first..last
+        for L in algebras:
+            for first, last in itertools.combinations_with_replacement(range(1, L.n + 1), 2):
+                pairs = [s - first for lo, hi in L.skew_runs()
+                         for s in range(max(lo, first), min(hi, last))]
+                is_sorted = L.block_sorted(first, last)
+                for key in L.f.data:
+                    part = key[first - 1:]
+                    assert is_sorted(key) == all(part[i] < part[i + 1] for i in pairs)
 
     def test_skew_runs(self, a8, seven_leibniz, cs):
         assert a8.skew_runs() == ((1, 7),)

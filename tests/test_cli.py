@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -20,6 +21,9 @@ from naryalg.algebra import CheckReport, Coordinates
 from naryalg.cli import run
 
 from change_of_basis import perturb, perturbed_a4
+
+
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def read_json(path):
@@ -386,6 +390,49 @@ class TestErrorPaths:
 
     def test_unknown_suite_name(self, a4_file, capsys):
         assert run(["check", str(a4_file), "--suite", "bogus"]) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("suite", ["", ",", " , "])
+    def test_empty_suite(self, a4_file, suite, capsys):
+        assert run(["check", str(a4_file), "--suite", suite]) == 2
+        out = capsys.readouterr()
+        assert out.err == f"naryalg: error: --suite {suite!r} names no check\n"
+        assert out.out == ""
+
+    def test_suite_is_judged_before_the_file_is_read(self, monkeypatch, capsys):
+        loads = count_calls(monkeypatch, algebra, "load")
+        # a bad file and a bad suite: the suite is reported
+        assert run(["check", "absent.json", "--suite", "filippov,bogus"]) == 2
+        assert capsys.readouterr().err == "naryalg: error: unknown check 'bogus'\n"
+        assert run(["check", "absent.json", "--suite", ","]) == 2
+        capsys.readouterr()
+        assert loads == []
+
+    def test_young_dim_negative_d(self, capsys):
+        assert run(["young", "dim", "--l", "3", "--r", "1", "--d", "-2"]) == 2
+        assert capsys.readouterr().err == \
+            "naryalg: error: --d must be a non-negative integer, got -2\n"
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="no limit on the digits an int prints")
+    @pytest.mark.parametrize("l, r, d", [(3000, 0, 100_000), (10 ** 8, 0, 10 ** 9)])
+    def test_young_dim_too_long_to_print(self, l, r, d, capsys):
+        # well-formed requests whose answer has more digits than an int prints
+        assert run(["young", "dim", "--l", str(l), "--r", str(r), "--d", str(d)]) == 3
+        out = capsys.readouterr()
+        assert out.err.startswith("naryalg: size guard: young dim: the dimension has more than")
+        assert out.out == ""
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="no limit on the digits an int prints")
+    def test_young_dim_at_the_digit_limit(self, capsys):
+        # r = 0 gives C(d, l): find the least l whose C(d, l) is too long to print
+        limit, d = INT_DIGIT_LIMIT, 20_000
+        l, dim = 0, 1
+        while dim < 10 ** limit:
+            last, l = dim, l + 1
+            dim = dim * (d - l + 1) // l
+        assert run(["young", "dim", "--l", str(l - 1), "--r", "0", "--d", str(d)]) == 0
+        assert json.loads(capsys.readouterr().out)["gl_dim"] == last
+        assert run(["young", "dim", "--l", str(l), "--r", "0", "--d", str(d)]) == 3
         capsys.readouterr()
 
     def test_size_guard_exit_code(self, monkeypatch, tmp_path, capsys):

@@ -149,3 +149,31 @@ def test_load_peak_memory(tmp_path):
     # 40,320 entries: about 38 MB when the whole JSON tree of entry dicts was
     # built before the entries were read, about 28 MB parsing them as json reads
     assert peak_mb < 33
+
+
+LIEALG_CHILD = """
+import sys
+from naryalg.cli import run
+if run(["liealg", sys.argv[1], "--kernel"]) != 0:
+    sys.exit("liealg failed")
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_liealg_peak_memory(tmp_path):
+    path = tmp_path / "a8.json"
+    assert run(["gen", "--family", "A", "--n", "7", "-o", str(path)]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(naryalg.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", LIEALG_CHILD, str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120, check=True,
+    )
+    out = done.stdout.splitlines()
+    assert json.loads("\n".join(out[:-1]))["kernel_dim"] == 8 ** 6 - 28
+    peak_mb = int(out[-1]) / 1024
+    # about 44 MB when the ad span grouped all 40,320 entries of f into
+    # 20,160 ad row tuples, about 32 MB grouping only the 28 block-sorted ones
+    assert peak_mb < 36
