@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import NaryAlgebra
+from .algebra import NaryAlgebra, _matrix_cols
 from .tensor import ShapeError, _acc, guard
 
 
@@ -128,11 +128,11 @@ class LieClosure:
 
 
 def _dense(mat: dict, d: int) -> list:
-    """The d x d list of rows of a sparse {row: {col: value}} matrix."""
+    """The d x d list of rows of a sparse 1-based {row: {col: value}} matrix."""
     rows = linalg.zeros_matrix(d)
     for i, row in mat.items():
         for j, val in row.items():
-            rows[i][j] = val
+            rows[i - 1][j - 1] = val
     return rows
 
 
@@ -172,11 +172,7 @@ def lie_closure(L: NaryAlgebra) -> LieClosure:
         return False
 
     for _, mrows in L.ad_span():
-        mat: dict = {}
-        for b, row in mrows.items():
-            for c, val in row.items():
-                mat.setdefault(c - 1, {})[b - 1] = val
-        insert(mat)
+        insert(_matrix_cols(mrows))
     from_generators = len(basis)
 
     frontier = list(range(len(basis)))
@@ -197,36 +193,44 @@ def lie_closure(L: NaryAlgebra) -> LieClosure:
                       from_generators=from_generators)
 
 
-def _kernel_of_slots(L: NaryAlgebra, lo: int, hi: int):
-    """Right kernel of f read as a map from its slots lo+1..hi to the others.
-
-    Unknowns are the index tuples of slots lo+1..hi in lexicographic order;
-    there is one equation per index tuple of the remaining slots, in sorted
-    order.  Guarded on the dense equations and kernel vectors it builds.
-    """
-    d = L.d
-    ncols = d ** (hi - lo)
-    heads = {key[:lo] + key[hi:] for key in L.f.data}
-    guard(ncols * (len(heads) + ncols), f"kernel({L.name})")
-    rows: dict = {}
-    for key, val in L.f.data.items():
-        col = 0
-        for i in key[lo:hi]:
-            col = col * d + i - 1
-        rows.setdefault(key[:lo] + key[hi:], [0] * ncols)[col] += val
-    return linalg.nullspace([rows[k] for k in sorted(rows)], ncols)
-
-
 def ad_kernel(L: NaryAlgebra):
     """Kernel of A -> ad_A on the span of basis (n-1)-tuples of indices.
 
     Returns (labels, vectors): labels lists all index tuples in lexicographic
     order and each vector holds the coefficients of one kernel basis element.
+    There is one equation per (l, s), in sorted order.  Guarded on the dense
+    equations and kernel vectors it builds.
     """
-    vectors = _kernel_of_slots(L, 0, L.n - 1)
-    return list(itertools.product(range(1, L.d + 1), repeat=L.n - 1)), vectors
+    d = L.d
+    ncols = d ** (L.n - 1)
+    heads = {key[-2:] for key in L.f.data}
+    guard(ncols * (len(heads) + ncols), f"kernel({L.name})")
+    rows: dict = {}
+    for key, val in L.f.data.items():
+        col = 0
+        for i in key[:-2]:
+            col = col * d + i - 1
+        rows.setdefault(key[-2:], [0] * ncols)[col] += val
+    vectors = linalg.nullspace([rows[k] for k in sorted(rows)], ncols)
+    return list(itertools.product(range(1, d + 1), repeat=L.n - 1)), vectors
 
 
 def centre(L: NaryAlgebra):
-    """Basis of {y : [x_1, .., x_{n-1}, y] = 0 for all x}, as coordinate vectors."""
-    return _kernel_of_slots(L, L.n - 1, L.n)
+    """Basis of {y : [x_1, .., x_{n-1}, y] = 0 for all x}, as coordinate vectors.
+
+    Solves (ad_A y)^s = 0 for the members A of L.ad_span() only: every ad_A
+    is a combination of theirs, so the equations span the same row space,
+    whose rref fixes the kernel basis.  Guarded on the dense equations and
+    kernel vectors it builds.
+    """
+    d = L.d
+    cols = [_matrix_cols(mrows) for _, mrows in L.ad_span()]
+    guard(d * (sum(map(len, cols)) + d), f"kernel({L.name})")
+    rows = []
+    for mcols in cols:
+        for col in mcols.values():
+            row = [0] * d
+            for l, val in col.items():
+                row[l - 1] = val
+            rows.append(row)
+    return linalg.nullspace(rows, d)

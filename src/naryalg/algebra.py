@@ -220,7 +220,7 @@ class NaryAlgebra:
     def ad_rows(self) -> dict:
         """Group f by the first n-1 slots: A -> {l: {s: value}}."""
         if "ad_rows" not in self._cache:
-            self._cache["ad_rows"] = _group_ad(self.f.data, self.f.data)
+            self._cache["ad_rows"] = _group_ad(self.f.data)
         return self._cache["ad_rows"]
 
     def skew_runs(self) -> tuple:
@@ -239,21 +239,29 @@ class NaryAlgebra:
             self._cache["skew_runs"] = tuple(map(tuple, runs))
         return self._cache["skew_runs"]
 
-    def block_sorted(self, first: int, last: int):
-        """Predicate on keys of f: increasing on input slots first..last
-        inside every skew run cut to those slots.
+    def runs_within(self, first: int, last: int) -> tuple:
+        """skew_runs() cut to input slots first..last."""
+        return tuple((max(lo, first), min(hi, last)) for lo, hi in self.skew_runs()
+                     if lo <= last and first <= hi)
+
+    def orbit_part(self, first: int, last: int) -> dict:
+        """f's data at the keys increasing on input slots first..last inside
+        every run of runs_within(first, last); f.data itself when no run has
+        two slots.
 
         f at a permuted key is +-f at the block-sorted one, so the
         block-sorted key is the lexicographically least of its orbit.
         """
-        pairs = [s - 1 for lo, hi in self.skew_runs()
-                 for s in range(max(lo, first), min(hi, last))]
+        pairs = [s - 1 for lo, hi in self.runs_within(first, last) for s in range(lo, hi)]
         if not pairs:
-            return lambda t: True
-        lo, hi = itemgetter(*pairs), itemgetter(*[i + 1 for i in pairs])
-        if len(pairs) == 1:
-            return lambda t: lo(t) < hi(t)
-        return lambda t: all(map(lt, lo(t), hi(t)))
+            return self.f.data
+        cached = ("orbit_part", first, last)
+        if cached not in self._cache:
+            lo, hi = itemgetter(*pairs), itemgetter(*[i + 1 for i in pairs])
+            keep = ((lambda t: lo(t) < hi(t)) if len(pairs) == 1
+                    else (lambda t: all(map(lt, lo(t), hi(t)))))
+            self._cache[cached] = {key: val for key, val in self.f.data.items() if keep(key)}
+        return self._cache[cached]
 
     def ad_span(self) -> list:
         """Basis (n-1)-tuples whose ad matrices span the whole ad space.
@@ -261,14 +269,13 @@ class NaryAlgebra:
         A list of (A, ad_rows()[A]) in lexicographic order of A: a tuple is
         kept iff its ad matrix is independent of those kept before it, so
         len(ad_span()) is the rank of A -> ad_A.  Only block-sorted tuples
-        are tried, and only their entries of f are grouped: a permuted tuple
-        has +- the ad matrix of its block-sorted one, which precedes it, so
-        it is never kept.
+        are tried, grouped from orbit_part(1, n-1): a permuted tuple has +-
+        the ad matrix of its block-sorted one, which precedes it, so it is
+        never kept.
         """
         if "ad_span" not in self._cache:
             d = self.d
-            data = self.f.data
-            rows = _group_ad(data, filter(self.block_sorted(1, self.n - 1), data))
+            rows = _group_ad(self.orbit_part(1, self.n - 1))
             guard(len(rows) * d * d, f"adjoint span({self.name})")
             eb = linalg.EchelonBasis(d * d)
             reps = []
@@ -283,12 +290,11 @@ class NaryAlgebra:
         return self._cache["ad_span"]
 
 
-def _group_ad(data: dict, keys) -> dict:
-    """Group data's entries at keys by all but their last two slots:
-    A -> {l: {s: value}}."""
+def _group_ad(data: dict) -> dict:
+    """Group data's entries by all but their last two slots: A -> {l: {s: value}}."""
     rows: dict = {}
-    for key in keys:
-        rows.setdefault(key[:-2], {}).setdefault(key[-2], {})[key[-1]] = data[key]
+    for key, val in data.items():
+        rows.setdefault(key[:-2], {}).setdefault(key[-2], {})[key[-1]] = val
     return rows
 
 
@@ -389,10 +395,10 @@ def _derivation_terms(entries, spans: list, mrows: dict, out: dict):
     """Accumulate  f_B^l M_l^s - sum_k M_{b_k}^l f_{..l..}^s  into out at
     block-sorted B, keyed B + (s,).
 
-    entries are f's (key, value) pairs at block-sorted inputs and spans[k] is
-    the run (lo, hi) of input slot k, 0-based and half-open, as _block_entries
-    gives them; with one-slot spans every input is block-sorted.  mrows maps
-    lower index l -> {upper s: value}.  An entry f_C^s reaches the second term
+    entries are f's (key, value) pairs at block-sorted inputs, from
+    orbit_part(1, n), and spans[k] is the run (lo, hi) of input slot k,
+    0-based and half-open; with one-slot spans every input is block-sorted.
+    mrows maps lower index l -> {upper s: value}.  An entry f_C^s reaches the second term
     at B = C with C_k replaced by b and re-sorted, with the sign of that sort.
     """
     mcols = _matrix_cols(mrows)
@@ -454,14 +460,6 @@ def _resort(key: tuple, k: int, new: int, lo: int, hi: int):
     return sign, key[:lo] + rest[:pos] + (new,) + rest[pos:] + key[hi:]
 
 
-def _block_entries(L: NaryAlgebra):
-    """(entries, spans) for _derivation_terms: f's (key, value) pairs at
-    block-sorted inputs, one per orbit and output, and the run of each slot."""
-    is_sorted = L.block_sorted(1, L.n)
-    entries = [(key, val) for key, val in L.f.data.items() if is_sorted(key)]
-    return entries, [(lo - 1, hi) for lo, hi in L.skew_runs() for _ in range(lo, hi + 1)]
-
-
 def _derivation_report(name: str, l1: NaryAlgebra, l2: NaryAlgebra) -> CheckReport:
     """Exact check that every ad of l2 is a derivation of l1.
 
@@ -478,7 +476,8 @@ def _derivation_report(name: str, l1: NaryAlgebra, l2: NaryAlgebra) -> CheckRepo
         raise ShapeError(f"dimension mismatch {l1.d} != {l2.d}")
     reps = l2.ad_span()
     guard(len(reps) * l1.f.nnz * (l1.n + 1), "adjoint-span derivation check")
-    entries, spans = _block_entries(l1)
+    entries = l1.orbit_part(1, l1.n).items()
+    spans = [(lo - 1, hi) for lo, hi in l1.skew_runs() for _ in range(lo, hi + 1)]
     firsts = {}
     for y_tuple, mrows in reps:
         acc: dict = {}
@@ -574,12 +573,19 @@ def _mismatch_report(t: RationalTensor, name: str, moves, sign: int) -> CheckRep
     return CheckReport(name, True)
 
 
-def _adjacent_swaps(rank: int, slots) -> list:
-    """Moves exchanging each pair of adjacent listed (1-based) slots."""
+def _adjacent_swaps(L: NaryAlgebra, slots) -> list:
+    """Moves on f's slots exchanging each pair of adjacent listed (1-based)
+    slots, except two distinct input slots inside one run of L.skew_runs():
+    f is skew there, and so is any tensor that differs from f only in its
+    output slot."""
     slots = list(slots)
     moves = []
     for a, b in zip(slots, slots[1:]):
-        move = list(range(rank))
+        # the output slot is in no run, so metricity needs no skew scan
+        if a != b and max(a, b) <= L.n and any(
+                lo <= min(a, b) and max(a, b) <= hi for lo, hi in L.skew_runs()):
+            continue
+        move = list(range(L.n + 1))
         move[a - 1], move[b - 1] = b - 1, a - 1
         moves.append(move)
     return moves
@@ -594,20 +600,17 @@ def check_skew(L: NaryAlgebra, slots) -> CheckReport:
     slots = list(slots)
     if not slots or any(not 1 <= s <= L.n for s in slots):
         raise ShapeError(f"slots {slots} not within 1..{L.n}")
-    run = {s: lo for lo, hi in L.skew_runs() for s in range(lo, hi + 1)}
-    moves = [move for a, b, move in zip(slots, slots[1:], _adjacent_swaps(L.n + 1, slots))
-             if a == b or run[a] != run[b]]
-    return _mismatch_report(L.f, "skew", moves, -1)
+    return _mismatch_report(L.f, "skew", _adjacent_swaps(L, slots), -1)
 
 
 def check_metricity(L: NaryAlgebra, metric: Metric | None = None) -> CheckReport:
     """Invariance of the metric: lowered constants antisymmetric in the last two slots."""
-    swap = _adjacent_swaps(L.n + 1, [L.n, L.n + 1])
+    swap = _adjacent_swaps(L, [L.n, L.n + 1])
     return _mismatch_report(L.lowered(metric), "metricity", swap, -1)
 
 
 def check_full_antisym_lowered(L: NaryAlgebra, metric: Metric | None = None) -> CheckReport:
-    swaps = _adjacent_swaps(L.n + 1, range(1, L.n + 2))
+    swaps = _adjacent_swaps(L, range(1, L.n + 2))
     return _mismatch_report(L.lowered(metric), "fullanti", swaps, -1)
 
 

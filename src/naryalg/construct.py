@@ -87,7 +87,7 @@ def schouten_residual(l2: NaryAlgebra) -> RationalTensor:
     low = l2.lowered(metric)
     hl = raise_lower(low, l2.n, metric, "raise")  # slots (B, l, s)
     m = l2.n
-    rows = _group_ad(hl.data, hl.data)
+    rows = _group_ad(hl.data)
     eps_by_last: dict = {}
     for key, val in eps.data.items():
         eps_by_last.setdefault(key[-1], []).append((key[:-1], val))

@@ -99,19 +99,6 @@ def _expand(items: list, lengths: tuple) -> list:
             for head, sign, tails in _rows(items, lengths) for tail, val in tails]
 
 
-def _input_runs(L: NaryAlgebra, shift: int) -> tuple:
-    """L's skew runs cut to the first n-1 input slots, shifted by shift."""
-    return tuple((lo + shift, min(hi, L.n - 1) + shift)
-                 for lo, hi in L.skew_runs() if lo < L.n)
-
-
-def _sorted_inputs(L: NaryAlgebra) -> RationalTensor:
-    """L.f at the keys whose first n-1 inputs are block-sorted."""
-    is_sorted = L.block_sorted(1, L.n - 1)
-    return RationalTensor._trusted(
-        L.f.shape, {key: val for key, val in L.f.data.items() if is_sorted(key)})
-
-
 def mixed_trace(l1: NaryAlgebra, l2: NaryAlgebra) -> TraceForm:
     """k(X, Y) = Tr(ad1_X ad2_Y) = sum_{b,c} f_{X b}^c h_{Y c}^b.
 
@@ -121,8 +108,10 @@ def mixed_trace(l1: NaryAlgebra, l2: NaryAlgebra) -> TraceForm:
     if l1.d != l2.d:
         raise ShapeError(f"dimension mismatch: {l1.d} != {l2.d}")
     n, m = l1.n, l2.n
-    k = contract(_sorted_inputs(l1), (n, n + 1), _sorted_inputs(l2), (m + 1, m))
-    return TraceForm(n, m, k, _input_runs(l1, 0) + _input_runs(l2, n - 1))
+    x, y = (RationalTensor._trusted(L.f.shape, L.orbit_part(1, L.n - 1)) for L in (l1, l2))
+    k = contract(x, (n, n + 1), y, (m + 1, m))
+    return TraceForm(n, m, k, l1.runs_within(1, n - 1)
+                     + tuple((lo + n - 1, hi + n - 1) for lo, hi in l2.runs_within(1, m - 1)))
 
 
 def kasymov(L: NaryAlgebra) -> TraceForm:
@@ -187,9 +176,8 @@ def kasymov_nondegenerate(L: NaryAlgebra) -> CheckReport:
     the same columns.  Verdict and witness are those of nondegenerate(kasymov(L)).
     """
     d = L.d
-    data = L.f.data
     groups: dict = {}
-    for a_tuple, arows in _group_ad(data, filter(L.block_sorted(2, L.n - 1), data)).items():
+    for a_tuple, arows in _group_ad(L.orbit_part(2, L.n - 1)).items():
         groups.setdefault(a_tuple[1:], []).append((a_tuple[0], arows))
     reps = L.ad_span()
     guard(len(groups) * len(reps) * d, f"Kasymov rank test({L.name})")

@@ -120,18 +120,6 @@ def mat_mul(a, b):
     ]
 
 
-def commutator(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(mat_mul(a, b), mat_mul(b, a))]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def mat_is_zero(a) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def zeros_matrix(n, m=None):
     m = n if m is None else m
     return [[0] * m for _ in range(n)]

@@ -206,16 +206,6 @@ def isotypic_project(t: RationalTensor, slots, shape,
     return _project(t, _class_sums(t, slots, force), lam)
 
 
-def _partitions(n: int, cap: int | None = None):
-    if n == 0:
-        yield ()
-        return
-    cap = n if cap is None else cap
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
 def classify_bracket(L: NaryAlgebra, force: bool = False):
     """Isotypic content of the bracket input slots over all two-column r.
 

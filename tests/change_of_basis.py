@@ -7,8 +7,20 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from naryalg import Metric, NaryAlgebra, RationalTensor, antisymmetrize, builtin, linalg
+from naryalg import (
+    Metric,
+    NaryAlgebra,
+    RationalTensor,
+    antisymmetrize,
+    builtin,
+    corollary_self,
+    direct_sum,
+    linalg,
+    zero_algebra,
+)
 from naryalg.tensor import _acc, _integral
+
+from helpers import transpose
 
 
 def change_basis(L, new_basis):
@@ -18,7 +30,7 @@ def change_basis(L, new_basis):
     and of the inverse transpose in its output slot.
     """
     d, n = L.d, L.n
-    inverse = linalg.invert(linalg.transpose(new_basis))
+    inverse = linalg.invert(transpose(new_basis))
     # new_vectors[j]: (i, x) with x = new_basis[i][j] != 0
     new_vectors = [[(i, row[j]) for i, row in enumerate(new_basis, 1) if row[j]]
                    for j in range(d)]
@@ -70,6 +82,35 @@ def perturb(L, key, value):
 def perturbed_a4():
     """A_4 with one structure constant changed to 2 (breaks the FI)."""
     return perturb(builtin("A4"), (1, 2, 3, 4), 2)
+
+
+def _with_shears(name):
+    """Makers of the builtin algebra name and of both its shears."""
+    return {name: lambda: builtin(name)} | {
+        f"{name}-shear{i}": (lambda P=P: change_basis(builtin(name), P))
+        for i, P in enumerate(shears(builtin(name).d), 1)}
+
+
+# The fixed algebras that the orbit-route differentials run on beside the
+# block_skew_algebras strategy: skew runs of every shape, dense shears of
+# them, a central summand, perturbed A4 (no skew run of two slots) and
+# algebras with no entries.
+ORBIT_FIXTURES = {
+    **_with_shears("A4"), **_with_shears("cs-so4"), **_with_shears("a4-sum-a4"),
+    "A4+zero(2,3)": lambda: direct_sum(builtin("A4"), zero_algebra(2, 3)),
+    "perturbed-A4": perturbed_a4,
+    "corollary_self(A5)": lambda: corollary_self(builtin("A5")),
+    "zero(4,3)": lambda: zero_algebra(4, 3),
+    "zero(5,2)": lambda: zero_algebra(5, 2),
+}
+
+
+def metrics(d):
+    """Euclidean, Lorentzian and a non-diagonal rational metric on Q^d."""
+    g = [[Fraction(2 * (i == j)) for j in range(d)] for i in range(d)]
+    g[0][1] = g[1][0] = Fraction(1, 2)
+    g[0][d - 1] = g[d - 1][0] = Fraction(-1, 3)
+    return [Metric.euclidean(d), Metric.lorentzian(1, d - 1), Metric(g)]
 
 
 @st.composite

@@ -28,7 +28,8 @@ from naryalg import (
 from naryalg import forms, linalg
 from naryalg.tensor import SizeGuardError
 
-from change_of_basis import block_skew_algebras, change_basis, perturbed_a4, shears
+from change_of_basis import ORBIT_FIXTURES, block_skew_algebras, change_basis, perturbed_a4, shears
+from helpers import commutator, mat_is_zero, transpose
 from test_algebra import lexicographic_sweep
 
 
@@ -51,7 +52,7 @@ class TestAdMatrix:
 
     def test_zero_component_gives_zero_matrix(self, a4):
         x = FundamentalObject(((1, 0, 0, 0), (0, 0, 0, 0)))
-        assert linalg.mat_is_zero(ad_matrix(a4, x))
+        assert mat_is_zero(ad_matrix(a4, x))
 
     def test_cs_so4_reproduces_rotation(self, cs):
         from naryalg import so_rotation_generators
@@ -94,7 +95,7 @@ class TestEndRelation:
         pairs = list(itertools.combinations(itertools.combinations(range(1, L.d + 1), L.n - 1), 2))
         for idx, idy in pairs[:12]:
             x, y = basis_object(L, idx), basis_object(L, idy)
-            lhs = linalg.commutator(ad_matrix(L, x), ad_matrix(L, y))
+            lhs = commutator(ad_matrix(L, x), ad_matrix(L, y))
             rhs = ad_of_sum(L, compose(L, x, y))
             assert lhs == rhs
 
@@ -102,7 +103,7 @@ class TestEndRelation:
         rng = random.Random(20)
         for _ in range(5):
             x, y = random_object(a4, rng), random_object(a4, rng)
-            lhs = linalg.commutator(ad_matrix(a4, x), ad_matrix(a4, y))
+            lhs = commutator(ad_matrix(a4, x), ad_matrix(a4, y))
             assert lhs == ad_of_sum(a4, compose(a4, x, y))
 
     def test_commutator_antisymmetry(self, a4):
@@ -113,7 +114,7 @@ class TestEndRelation:
         assert lhs == [[-x for x in row] for row in rhs]
 
     def test_empty_sum_is_zero_matrix(self, a4):
-        assert linalg.mat_is_zero(ad_of_sum(a4, []))
+        assert mat_is_zero(ad_of_sum(a4, []))
 
     @pytest.mark.parametrize("fixture", ["a4", "a5"])
     def test_non_associativity_identity(self, fixture, request):
@@ -145,7 +146,7 @@ class TestClosure:
             G = L.metric.entries
             for mat in lie_closure(L).basis:
                 minus_gm = [[-x for x in row] for row in linalg.mat_mul(G, mat)]
-                assert linalg.mat_mul(linalg.transpose(mat), G) == minus_gm
+                assert linalg.mat_mul(transpose(mat), G) == minus_gm
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_so_dual_identity(self, n):
@@ -202,8 +203,8 @@ def closure_over_all_generators(L):
             for j in range(len(basis)):
                 if i == j:
                     continue
-                comm = linalg.commutator(basis[i], basis[j])
-                if not linalg.mat_is_zero(comm) and insert(comm):
+                comm = commutator(basis[i], basis[j])
+                if not mat_is_zero(comm) and insert(comm):
                     fresh.append(len(basis) - 1)
         frontier = fresh
     return basis, from_generators
@@ -371,3 +372,47 @@ class TestCentre:
         assert len(basis) == 1
         assert basis[0][4] != 0
         assert all(basis[0][i] == 0 for i in range(4))
+
+
+def dense_centre(L):
+    """Reference centre: one dense equation per head (A, s) over all of f, in
+    sorted order."""
+    d = L.d
+    rows = {}
+    for key, val in L.f.data.items():
+        rows.setdefault(key[:-2] + key[-1:], [0] * d)[key[-2] - 1] += val
+    return linalg.nullspace([rows[k] for k in sorted(rows)], d)
+
+
+def assert_centre_is_dense(L):
+    L = NaryAlgebra(L.name, L.d, L.n, L.f, L.metric)  # a fresh cache
+    basis, expected = centre(L), dense_centre(L)
+    assert basis == expected
+    assert [list(map(type, vec)) for vec in basis] == [list(map(type, vec)) for vec in expected]
+    assert "ad_rows" not in L._cache
+
+
+class TestCentreOnSpan:
+    """The centre solved on the ad span members' equations is the kernel of
+    the equations of every head."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 4]).flatmap(block_skew_algebras))
+    def test_block_skew_algebras(self, algebras):
+        for L in algebras:
+            assert_centre_is_dense(L)
+
+    @pytest.mark.parametrize("make", ORBIT_FIXTURES.values(), ids=ORBIT_FIXTURES.keys())
+    def test_fixtures(self, make):
+        assert_centre_is_dense(make())
+
+    def test_guard_counts_the_span_equations(self, monkeypatch):
+        # A4's span has the 6 pairs i < j, each ad matrix nonzero in 2 rows:
+        # 4 * (12 + 4) = 64 dense entries (4 * (24 + 4) over all 24 heads)
+        L = builtin("A4")
+        L.ad_span()
+        monkeypatch.setenv("NARY_SIZE_GUARD", "63")
+        with pytest.raises(SizeGuardError, match=r"kernel\(A4\): 64 exceeds size guard 63"):
+            centre(L)
+        monkeypatch.setenv("NARY_SIZE_GUARD", "64")
+        assert centre(L) == []

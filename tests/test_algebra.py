@@ -39,7 +39,6 @@ from naryalg import (
 )
 from naryalg import algebra, linalg
 from naryalg.algebra import (
-    _adjacent_swaps,
     _mismatch_report,
     _zero_report,
     from_json_dict,
@@ -47,7 +46,15 @@ from naryalg.algebra import (
 )
 from naryalg.tensor import _integral
 
-from change_of_basis import block_skew_algebras, change_basis, perturb, perturbed_a4, shears
+from change_of_basis import (
+    ORBIT_FIXTURES,
+    block_skew_algebras,
+    change_basis,
+    metrics,
+    perturb,
+    perturbed_a4,
+    shears,
+)
 
 
 class TestSimpleFilippov:
@@ -183,8 +190,69 @@ def lexicographic_sweep(L):
     return reps
 
 
+def every_swap(rank, slots):
+    """Moves exchanging each pair of adjacent listed (1-based) slots, none
+    skipped: the full-swap reference for check_skew and fullanti."""
+    slots = list(slots)
+    moves = []
+    for a, b in zip(slots, slots[1:]):
+        move = list(range(rank))
+        move[a - 1], move[b - 1] = b - 1, a - 1
+        moves.append(move)
+    return moves
+
+
+def assert_orbit_routes(L):
+    """orbit_part against a plain filter, and check_skew and fullanti against
+    every swap, on every slot range and on three metrics."""
+    for first, last in itertools.combinations_with_replacement(range(1, L.n + 1), 2):
+        # runs cut to first..last, read straight off the full skew runs
+        pairs = [s - 1 for lo, hi in L.skew_runs() for s in range(lo, hi)
+                 if first <= s and s + 1 <= last]
+        part = L.orbit_part(first, last)
+        assert list(part.items()) == [(key, val) for key, val in L.f.data.items()
+                                      if all(key[i] < key[i + 1] for i in pairs)]
+        assert (part is L.f.data) == (not pairs)
+        slots = range(first, last + 1)
+        assert check_skew(L, slots) == _mismatch_report(L.f, "skew", every_swap(L.n + 1, slots), -1)
+    for slots in ([L.n, 1], [1, 1, 2], range(L.n, 0, -1)):
+        assert check_skew(L, slots) == _mismatch_report(L.f, "skew", every_swap(L.n + 1, slots), -1)
+    for metric in metrics(L.d):
+        every_slot = every_swap(L.n + 1, range(1, L.n + 2))
+        assert check_full_antisym_lowered(L, metric) == _mismatch_report(
+            L.lowered(metric), "fullanti", every_slot, -1)
+
+
+class TestOrbitRoutes:
+    """orbit_part is f at its block-sorted keys, and the scans that skip the
+    swaps inside a skew run report what the scans over every swap report."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 4]).flatmap(block_skew_algebras))
+    def test_block_skew_algebras(self, algebras):
+        for L in algebras:
+            assert_orbit_routes(L)
+
+    @pytest.mark.parametrize("make", ORBIT_FIXTURES.values(), ids=ORBIT_FIXTURES.keys())
+    def test_fixtures(self, make):
+        assert_orbit_routes(make())
+
+    def test_runs_within(self):
+        L = corollary_self(builtin("A6"))
+        assert L.skew_runs() == ((1, 4), (5, 7))
+        assert L.runs_within(1, 7) == L.skew_runs()
+        assert L.runs_within(1, 4) == ((1, 4),)
+        assert L.runs_within(3, 6) == ((3, 4), (5, 6))
+        assert L.runs_within(5, 5) == ((5, 5),)
+
+    def test_orbit_part_adds_no_cache_entry_without_a_run(self):
+        L = perturbed_a4()
+        assert L.orbit_part(1, 3) is L.f.data
+        assert list(L._cache) == ["skew_runs"]
+
+
 class TestBlockRoute:
-    """The FI, derivation, span and skew checks on block-sorted keys give the
+    """The FI, derivation and span checks on block-sorted keys give the
     reports and spans of the full sweeps."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -194,8 +262,6 @@ class TestBlockRoute:
         assert_reports_are_first_residual_entries(itertools.product(algebras, repeat=2))
         for L in algebras:
             assert L.ad_span() == lexicographic_sweep(L)
-            every_slot = _adjacent_swaps(L.n + 1, range(1, L.n + 1))
-            assert check_skew(L, range(1, L.n + 1)) == _mismatch_report(L.f, "skew", every_slot, -1)
 
     @pytest.mark.parametrize("fixture", ["a8", "seven_leibniz", "cs", "corollary_self(A5)"])
     def test_ad_span_is_the_full_sweep(self, fixture, request):
@@ -210,20 +276,6 @@ class TestBlockRoute:
                 sheared = change_basis(L, P)
                 assert sheared.skew_runs() == L.skew_runs()
                 assert sheared.ad_span() == lexicographic_sweep(sheared)
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(st.sampled_from([3, 4]).flatmap(block_skew_algebras))
-    def test_block_sorted_is_the_generator_predicate(self, algebras):
-        # the predicate block_sorted had before it read keys through two
-        # itemgetters: a generator over the tuple of slots first..last
-        for L in algebras:
-            for first, last in itertools.combinations_with_replacement(range(1, L.n + 1), 2):
-                pairs = [s - first for lo, hi in L.skew_runs()
-                         for s in range(max(lo, first), min(hi, last))]
-                is_sorted = L.block_sorted(first, last)
-                for key in L.f.data:
-                    part = key[first - 1:]
-                    assert is_sorted(key) == all(part[i] < part[i + 1] for i in pairs)
 
     def test_skew_runs(self, a8, seven_leibniz, cs):
         assert a8.skew_runs() == ((1, 7),)

@@ -13,6 +13,7 @@ from naryalg import Metric, builtin, direct_sum, kasymov_nondegenerate, linalg, 
 from naryalg.adjoint import ad_kernel, centre, lie_closure
 
 from change_of_basis import change_basis, shears
+from helpers import transpose
 
 
 def invariants(L):
@@ -45,6 +46,6 @@ def test_metric_inverse_transforms_with_the_basis():
     g_inv = Metric(g).inverse
     for P in shears(4):
         P_inv = linalg.invert(P)
-        moved = linalg.mat_mul(linalg.mat_mul(linalg.transpose(P), g), P)
-        expected = linalg.mat_mul(linalg.mat_mul(P_inv, g_inv), linalg.transpose(P_inv))
+        moved = linalg.mat_mul(linalg.mat_mul(transpose(P), g), P)
+        expected = linalg.mat_mul(linalg.mat_mul(P_inv, g_inv), transpose(P_inv))
         assert [list(row) for row in Metric(moved).inverse] == expected

@@ -154,7 +154,7 @@ def test_load_peak_memory(tmp_path):
 LIEALG_CHILD = """
 import sys
 from naryalg.cli import run
-if run(["liealg", sys.argv[1], "--kernel"]) != 0:
+if run(["liealg", *sys.argv[1:]]) != 0:
     sys.exit("liealg failed")
 with open("/proc/self/status") as fh:
     print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
@@ -166,14 +166,18 @@ def test_liealg_peak_memory(tmp_path):
     path = tmp_path / "a8.json"
     assert run(["gen", "--family", "A", "--n", "7", "-o", str(path)]) == 0
     src = os.path.dirname(os.path.dirname(os.path.abspath(naryalg.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-c", LIEALG_CHILD, str(path)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-        timeout=120, check=True,
-    )
-    out = done.stdout.splitlines()
-    assert json.loads("\n".join(out[:-1]))["kernel_dim"] == 8 ** 6 - 28
-    peak_mb = int(out[-1]) / 1024
-    # about 44 MB when the ad span grouped all 40,320 entries of f into
-    # 20,160 ad row tuples, about 32 MB grouping only the 28 block-sorted ones
-    assert peak_mb < 36
+    for flags in (["--kernel"], ["--kernel", "--centre"]):
+        done = subprocess.run(
+            [sys.executable, "-c", LIEALG_CHILD, str(path), *flags],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=120, check=True,
+        )
+        out = done.stdout.splitlines()
+        report = json.loads("\n".join(out[:-1]))
+        assert report["kernel_dim"] == 8 ** 6 - 28
+        assert report.get("centre_dim", 0) == 0
+        peak_mb = int(out[-1]) / 1024
+        # about 44 MB when the ad span grouped all 40,320 entries of f into
+        # 20,160 ad row tuples, about 32 MB grouping only the 28 block-sorted
+        # ones; about 43 MB for --centre with one dense equation per head of f
+        assert peak_mb < 36, flags

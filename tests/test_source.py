@@ -44,14 +44,14 @@ def test_no_unused_imports(module):
 AD_ROWS_CALLERS = {"derivation_residual", "filippov_sampled"}
 
 
-def ad_rows_callers(source: str) -> list:
-    """(function, line) of each call of an ad_rows attribute, in line order:
-    the top-level function or method it is in, or None outside any."""
+def callers(source: str, attr: str) -> list:
+    """(function, line) of each call of an attribute named attr, in line
+    order: the top-level function or method it is in, or None outside any."""
     tree = ast.parse(source)
 
     def calls(node):
         return [call for call in ast.walk(node) if isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute) and call.func.attr == "ad_rows"]
+                and isinstance(call.func, ast.Attribute) and call.func.attr == attr]
 
     owner = {}
     for node in tree.body:
@@ -67,11 +67,29 @@ def test_ad_rows_checker_sees_nested_and_method_calls():
               "def check(L):\n    def inner():\n        return L.ad_rows()\n"
               "class C:\n    def span(self):\n        return self.ad_rows()\n"
               "ROWS = x.ad_rows()\n")
-    assert ad_rows_callers(source) == [("derivation_residual", 2), ("check", 5),
-                                       ("span", 8), (None, 9)]
+    assert callers(source, "ad_rows") == [("derivation_residual", 2), ("check", 5),
+                                          ("span", 8), (None, 9)]
 
 
 @pytest.mark.parametrize("module", MODULES + ["__init__.py"])
 def test_ad_rows_only_on_the_reference_routes(module):
     source = (Path(naryalg.__file__).parent / module).read_text()
-    assert [call for call in ad_rows_callers(source) if call[0] not in AD_ROWS_CALLERS] == []
+    assert [call for call in callers(source, "ad_rows")
+            if call[0] not in AD_ROWS_CALLERS] == []
+
+
+# Which keys of f stand for an orbit follows from its skew runs; algebra.py
+# owns that rule (runs_within, orbit_part, the swap pruning) and the other
+# modules ask it, so no second reading of skew_runs() can drift from it.
+def test_skew_runs_checker_sees_calls_not_names():
+    source = ("def runs(L):\n    return L.skew_runs()\n"
+              "cut = [r for r in L.skew_runs() if r]\n"
+              "def name(L):\n    return L.skew_runs\n"
+              "def runs_within(L):\n    return L.runs_within(1, 2)\n")
+    assert callers(source, "skew_runs") == [("runs", 2), (None, 3)]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_skew_runs_only_in_algebra(module):
+    source = (Path(naryalg.__file__).parent / module).read_text()
+    assert module == "algebra.py" or callers(source, "skew_runs") == []

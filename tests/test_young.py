@@ -32,6 +32,8 @@ from naryalg import (
 from naryalg import linalg, young
 from naryalg.algebra import _impure_component
 
+from helpers import partitions
+
 
 def hook_content_dimension(partition, d):
     # independent oracle for GL(d) dimensions
@@ -110,13 +112,13 @@ class TestCharacter:
         assert character(shape, (5,)) == character((2, 2, 1), (5,))
 
     def test_orthogonality_of_characters(self):
-        from naryalg.young import _cycle_type, _partitions
+        from naryalg.young import _cycle_type
 
         l = 4
-        partitions = list(_partitions(l))
+        shapes = list(partitions(l))
         perms = list(itertools.permutations(range(l)))
-        for lam in partitions:
-            for mu in partitions:
+        for lam in shapes:
+            for mu in shapes:
                 inner = sum(
                     character(lam, _cycle_type(p)) * character(mu, _cycle_type(p))
                     for p in perms
@@ -183,12 +185,10 @@ class TestIsotypicProjector:
             )
 
     def test_partition_of_unity_l3(self):
-        from naryalg.young import _partitions
-
         for d in (2, 3, 4):
             t = random_tensor((d, d, d), seed=d)
             total = RationalTensor(t.shape)
-            for lam in _partitions(3):
+            for lam in partitions(3):
                 total = add(total, isotypic_project(t, (1, 2, 3), lam))
             assert total == t
 
