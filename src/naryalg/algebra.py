@@ -806,19 +806,21 @@ def to_json_dict(L: NaryAlgebra) -> dict:
 def _read_entries(entries, d: int, rank: int, with_out: bool) -> dict:
     """Entry list -> {index tuple: nonzero value}; the index is "in" (+ "out").
 
-    An entry is a JSON object, or a pair _entry_hook made of one: (index
-    tuple of ints, literal).  A pair's literal is parsed once per distinct
-    literal; a pair that fails a check is turned back into its object, whose
-    checks name the fault.  Zero values count for the duplicate check and
-    are then dropped.
+    An entry is a JSON object, or a tuple _entry_hook made of one: the index
+    ints followed by the literal.  A tuple's literal is parsed once per
+    distinct literal; a tuple that fails a check is turned back into its
+    object, whose checks name the fault.  Each tuple is released from the
+    list once read, so its memory serves the next key.  Zero values count for
+    the duplicate check and are then dropped.
     """
     if not isinstance(entries, list):
         raise AlgebraFileError("'entries' must be a list")
     data = {}
-    values: dict = {}  # literal -> value, for the pairs
-    for ent in entries:
+    values: dict = {}  # literal -> value, for the tuples
+    for i, ent in enumerate(entries):
         if type(ent) is tuple:
-            idx, text = ent
+            entries[i] = None
+            idx, text = ent[:-1], ent[-1]
             val = values.get(text)
             if val is None:
                 try:
@@ -886,27 +888,32 @@ def _entry_template(rank: int, with_out: bool) -> str:
     return "\n".join(lines)
 
 
-def _write_file(header: dict, texts, path) -> None:
-    """Write header plus the entry texts, given in sorted key order, byte for
-    byte as json.dump(indent=1) and a newline would write them with the
-    entries last.
+def _write_json(fh, header: dict, field: str, texts, chunk: int = _WRITE_CHUNK) -> None:
+    """Write header plus a last field, the list of the item texts, to fh byte
+    for byte as json.dump(indent=1) and a newline would write them.
 
     The header goes through json, so its escaping and layout are json's.  The
-    entries hold only ints and rational literals, which need no escaping, so
-    each text is laid out as _entry_template lays out its entry; they are
-    written in chunks.
+    items hold only ints and rational literals, which need no escaping, so
+    each text is laid out as json lays out a list item at depth 2; they are
+    written chunk at a time.
     """
     head = json.dumps(header, indent=1)
     texts = iter(texts)
+    fh.write(head[:-2])                 # drop the closing "\n}"
+    fh.write(f',\n "{field}": [')
+    sep = "\n"
+    while part := list(islice(texts, chunk)):
+        fh.write(sep)
+        fh.write(",\n".join(part))
+        sep = ",\n"
+    fh.write("]\n}\n" if sep == "\n" else "\n ]\n}\n")
+
+
+def _write_file(header: dict, texts, path) -> None:
+    """Write header plus the entry texts, given in sorted key order and laid
+    out by _entry_template, as the file's "entries"."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head[:-2])                 # drop the closing "\n}"
-        fh.write(',\n "entries": [')
-        sep = "\n"
-        while chunk := list(islice(texts, _WRITE_CHUNK)):
-            fh.write(sep)
-            fh.write(",\n".join(chunk))
-            sep = ",\n"
-        fh.write("]\n}\n" if sep == "\n" else "\n ]\n}\n")
+        _write_json(fh, header, "entries", texts)
 
 
 def _read_json(path, object_hook=None):
@@ -920,10 +927,11 @@ def _read_json(path, object_hook=None):
 
 
 def _entry_hook(with_out: bool):
-    """json object_hook: an entry object -> (index tuple, literal) pair.
+    """json object_hook: an entry object -> one tuple, its index ints then its
+    literal.
 
     Only an object with exactly the writer's fields in the writer's order,
-    int indices and a string literal becomes a pair, so _entry_object
+    int indices and a string literal becomes a tuple, so _entry_object
     rebuilds it exactly; anything else stays a dict for _read_entries.
     """
     fields = ["in", "out", "val"] if with_out else ["in", "val"]
@@ -937,26 +945,27 @@ def _entry_hook(with_out: bool):
         if (type(ins) is not list or type(out) is not int or type(text) is not str
                 or not all(type(i) is int for i in ins)):
             return obj
-        return ((*ins, out) if with_out else tuple(ins)), literals.setdefault(text, text)
+        text = literals.setdefault(text, text)
+        return (*ins, out, text) if with_out else (*ins, text)
 
     return hook
 
 
-def _entry_object(pair: tuple, with_out: bool) -> dict:
-    """The JSON object _entry_hook turned into pair."""
-    idx, text = pair
+def _entry_object(ent: tuple, with_out: bool) -> dict:
+    """The JSON object _entry_hook turned into ent."""
     if not with_out:
-        return {"in": list(idx), "val": text}
-    return {"in": list(idx[:-1]), "out": idx[-1], "val": text}
+        return {"in": list(ent[:-1]), "val": ent[-1]}
+    return {"in": list(ent[:-2]), "out": ent[-2], "val": ent[-1]}
 
 
 def _read_entry_file(path, with_out: bool):
-    """An algebra or trace-form file as JSON, its entries parsed into pairs
+    """An algebra or trace-form file as JSON, its entries parsed into tuples
     as they are read, so no per-entry dicts are kept.
 
-    json never makes tuples, so every tuple is a pair.  A pair anywhere but
-    directly in the top-level "entries" list is turned back into its object:
-    every other field, and every entry left a dict, reads as plain JSON.
+    json never makes tuples, so every tuple is an entry's.  A tuple anywhere
+    but directly in the top-level "entries" list is turned back into its
+    object: every other field, and every entry left a dict, reads as plain
+    JSON.
     """
     root = [_read_json(path, _entry_hook(with_out))]
     entries = root[0].get("entries") if type(root[0]) is dict else None

@@ -8,14 +8,14 @@ serializes the result.  Exit codes: 0 all checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
-import hashlib
+import functools
 import json
 import math
 import sys
 import time
 from fractions import Fraction
 
-from . import __version__, algebra, construct, forms, young
+from . import __version__, algebra
 from .algebra import AlgebraFileError, Metric, NaryAlgebra
 from .tensor import ShapeError, SizeGuardError, parse_rational
 
@@ -30,8 +30,12 @@ class UsageError(ValueError):
 
 
 def _digest(path: str) -> str:
+    import hashlib  # only `check` prints a digest; hashlib loads libcrypto
+    sha = hashlib.sha256()
     with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        while block := fh.read(1 << 16):
+            sha.update(block)
+    return "sha256:" + sha.hexdigest()
 
 
 def _parse_metric(spec: str | None, d: int, fallback: Metric | None) -> Metric | None:
@@ -79,9 +83,15 @@ def _odd_arity(n: int) -> bool:
     return n % 2 == 1
 
 
+def _nondegenerate(L: NaryAlgebra, metric):
+    from . import forms
+    return forms.kasymov_nondegenerate(L)
+
+
 # name -> (check, applies to arity); `all` expands in this order.  Arity is
 # always >= 2, so "odd" already means ">= 3".  Checks are looked up on their
-# module at call time, so wrappers installed after import still see them.
+# module at call time, so wrappers installed after import still see them, and
+# a module other than algebra is imported by the checks that use it.
 CHECKS = {
     "filippov": (lambda L, m: algebra.check_filippov(L), _any_arity),
     "skew": (lambda L, m: algebra.check_skew(L, range(1, L.n + 1)), _any_arity),
@@ -89,7 +99,7 @@ CHECKS = {
     "fullanti": (lambda L, m: algebra.check_full_antisym_lowered(L, m), _any_arity),
     "cyclic": (lambda L, m: algebra.check_cyclic(L), _any_arity),
     "nple": (lambda L, m: algebra.is_lie_nple(L), _any_arity),
-    "nondegenerate": (lambda L, m: forms.kasymov_nondegenerate(L), _any_arity),
+    "nondegenerate": (_nondegenerate, _any_arity),
     "symmetry": (lambda L, m: algebra.check_symmetry_property(L, m), lambda n: n >= 3),
     "triple": (lambda L, m: algebra.is_lie_triple(L), lambda n: n == 3),
     "genmetric": (lambda L, m: algebra.check_generalized_metric_l(L, m), _odd_arity),
@@ -151,13 +161,20 @@ def _signature_algebra(args) -> NaryAlgebra:
     return algebra.simple_filippov(len(sig) - 1, sig)
 
 
+def _builtin(name: str):
+    def build(args) -> NaryAlgebra:
+        from . import construct
+        return construct.builtin(name)
+    return build
+
+
 # family -> (options it needs, builder); argparse reads its choices from here.
 FAMILIES = {
     "A": (("n",), lambda a: algebra.simple_filippov(a.n, [1] * (a.n + 1))),
     "Apq": (("signature",), _signature_algebra),
-    "cs-so4": ((), lambda a: construct.builtin("cs-so4")),
-    "a4sum": ((), lambda a: construct.builtin("a4-sum-a4")),
-    "seven-leibniz": ((), lambda a: construct.builtin("seven-leibniz")),
+    "cs-so4": ((), _builtin("cs-so4")),
+    "a4sum": ((), _builtin("a4-sum-a4")),
+    "seven-leibniz": ((), _builtin("seven-leibniz")),
     "zero": (("n", "d"), lambda a: algebra.zero_algebra(a.d, a.n)),
 }
 
@@ -198,12 +215,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_kasymov(args) -> int:
+    from . import forms
     L = algebra.load(args.file)
     forms.save(forms.kasymov(L), args.output, name=f"kasymov({L.name})")
     return EXIT_PASS
 
 
 def _cmd_mixed(args) -> int:
+    from . import forms
     l1 = algebra.load(args.file1)
     l2 = algebra.load(args.file2)
     forms.save(
@@ -214,6 +233,7 @@ def _cmd_mixed(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    from . import construct
     l1 = algebra.load(args.l1)
     l2 = algebra.load(args.l2)
     metric = _parse_metric(args.metric, l1.d, l2.metric or l1.metric)
@@ -233,7 +253,6 @@ def _cmd_compose(args) -> int:
 
 def _cmd_liealg(args) -> int:
     from . import adjoint
-
     L = algebra.load(args.file)
     closure = adjoint.lie_closure(L)
     out = {
@@ -244,21 +263,26 @@ def _cmd_liealg(args) -> int:
     if args.kernel:
         # rank-nullity: the span representatives are a basis of the image of ad
         out["kernel_dim"] = L.d ** (L.n - 1) - len(L.ad_span())
-    if args.centre:
-        basis = adjoint.centre(L)
-        out["centre_dim"] = len(basis)
-        out["centre_basis"] = [[str(Fraction(x)) for x in vec] for vec in basis]
-    sys.stdout.write(json.dumps(out, indent=1) + "\n")
+    if not args.centre:
+        sys.stdout.write(json.dumps(out, indent=1) + "\n")
+        return EXIT_PASS
+    basis = adjoint.centre(L)
+    out["centre_dim"] = len(basis)
+    # one row at a time, each distinct value formatted once
+    text = functools.lru_cache(None)(lambda x: '   "%s"' % Fraction(x))
+    rows = ("  [\n" + ",\n".join(map(text, vec)) + "\n  ]" if vec else "  []" for vec in basis)
+    algebra._write_json(sys.stdout, out, "centre_basis", rows, chunk=1)
     return EXIT_PASS
 
 
-def _printable_gl_dimension(shape: young.YoungShape, d: int) -> int:
+def _printable_gl_dimension(shape, d: int) -> int:
     """young.gl_dimension, refused once it has more digits than an int may
     print (sys.get_int_max_str_digits()).
 
     comb(n, k) >= (n/k)^k for k <= n/2 bounds its digits from below, so a
     dimension far too long to print is refused before it is computed.
     """
+    from . import young
     # 0 means no limit, as on Pythons older than the limit itself
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     l, r = shape.l, shape.r
@@ -278,6 +302,7 @@ def _printable_gl_dimension(shape: young.YoungShape, d: int) -> int:
 
 
 def _cmd_young(args) -> int:
+    from . import young
     if args.young_cmd == "dim":
         if args.d < 0:
             raise UsageError(f"--d must be a non-negative integer, got {args.d}")
@@ -385,8 +410,7 @@ def run(argv=None) -> int:
     except MemoryError:
         print("naryalg: out of memory: the request is too large", file=sys.stderr)
         return EXIT_SIZE_GUARD
-    except (UsageError, AlgebraFileError, construct.UnknownFixtureError,
-            ShapeError, OSError, ValueError) as exc:
+    except (UsageError, AlgebraFileError, ShapeError, OSError, ValueError) as exc:
         print(f"naryalg: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

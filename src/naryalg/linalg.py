@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+_ZERO = Fraction(0)  # shared by every zero of a normalized row
+
 
 class SingularMatrixError(ValueError):
     pass
@@ -42,7 +44,7 @@ class EchelonBasis:
         if piv is None:
             return False
         inv = Fraction(1, 1) / vec[piv]
-        row = [x * inv for x in vec]
+        row = [x * inv if x else _ZERO for x in vec]
         self.rows.append(row)
         self.pivots.append(piv)
         return True

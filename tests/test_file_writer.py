@@ -147,8 +147,10 @@ def test_load_peak_memory(tmp_path):
     )
     peak_mb = int(done.stdout) / 1024
     # 40,320 entries: about 38 MB when the whole JSON tree of entry dicts was
-    # built before the entries were read, about 28 MB parsing them as json reads
-    assert peak_mb < 33
+    # built before the entries were read, about 28 MB parsing them into
+    # (key, literal) pairs as json reads, with every module imported; about
+    # 25.7 MB importing algebra alone and releasing each entry tuple once read
+    assert peak_mb < 28
 
 
 LIEALG_CHILD = """
@@ -179,5 +181,59 @@ def test_liealg_peak_memory(tmp_path):
         peak_mb = int(out[-1]) / 1024
         # about 44 MB when the ad span grouped all 40,320 entries of f into
         # 20,160 ad row tuples, about 32 MB grouping only the 28 block-sorted
-        # ones; about 43 MB for --centre with one dense equation per head of f
-        assert peak_mb < 36, flags
+        # ones; about 43 MB for --centre with one dense equation per head of f;
+        # about 26 MB importing only the modules liealg uses
+        assert peak_mb < 30, flags
+
+
+SPAN_CHILD = """
+import sys
+from naryalg import algebra
+assert len(algebra.load(sys.argv[1]).ad_span()) == 4
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_sparse_ad_span_peak_memory(tmp_path):
+    # four entries at d = 1000: each span member is a dense d^2 = 10^6 row
+    path = tmp_path / "sparse.json"
+    entries = [((1, 2), 3), ((2, 3), 1), ((3, 1), 2), ((4, 5), 6)]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"name": "sparse", "dim": 1000, "arity": 2, "entries": [
+            {"in": list(ins), "out": out, "val": "1"} for ins, out in entries]}, fh)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(naryalg.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", SPAN_CHILD, str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120, check=True,
+    )
+    peak_mb = int(done.stdout) / 1024
+    # about 250 MB (and 8 s) when each normalized row held a new Fraction
+    # for every zero, about 64 MB sharing one
+    assert peak_mb < 100
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_liealg_centre_printout_peak_memory(tmp_path):
+    d = 600
+    path = tmp_path / "zero.json"
+    assert run(["gen", "--family", "zero", "--n", "2", "--d", str(d), "-o", str(path)]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(naryalg.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", LIEALG_CHILD, str(path), "--centre"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120, check=True,
+    )
+    out = done.stdout.splitlines()
+    text = "\n".join(out[:-1]) + "\n"
+    report = json.loads(text)
+    assert report["centre_dim"] == d
+    assert report["centre_basis"] == [["1" if i == j else "0" for j in range(d)]
+                                      for i in range(d)]
+    assert text == json.dumps(report, indent=1) + "\n"
+    peak_mb = int(out[-1]) / 1024
+    # about 76 MB formatting all 360,000 values and the whole json.dumps text
+    # at once, about 19 MB printing one row at a time
+    assert peak_mb < 40

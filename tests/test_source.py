@@ -93,3 +93,65 @@ def test_skew_runs_checker_sees_calls_not_names():
 def test_skew_runs_only_in_algebra(module):
     source = (Path(naryalg.__file__).parent / module).read_text()
     assert module == "algebra.py" or callers(source, "skew_runs") == []
+
+
+# naryalg/__init__ imports each public name's module on first use, from a
+# name -> module table; a name the module does not define would fail only
+# when read, so every entry is pinned to a top-level definition.
+def top_level_names(source: str) -> set:
+    """Names a module's own top-level def, class or assignment binds."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_top_level_checker_sees_definitions_not_imports():
+    source = ("import os\nfrom re import A\ndef f():\n    g = 1\nclass C:\n    x = 1\n"
+              "B = D = 2\nE: int = 3\nF.attr = 4\nif os:\n    G = 5\n")
+    assert top_level_names(source) == {"f", "C", "B", "D", "E"}
+
+
+def test_lazy_table_names_are_defined_where_it_says():
+    home = Path(naryalg.__file__).parent
+    defined = {module: top_level_names((home / f"{module}.py").read_text())
+               for module in set(naryalg._MODULE.values())}
+    assert [(name, module) for name, module in naryalg._MODULE.items()
+            if name not in defined[module]] == []
+
+
+# hashlib loads libcrypto (about 3 MB); only `check` prints a digest, so no
+# module imports it when it is itself imported.
+def eager_imports(source: str) -> set:
+    """Top-level names of the modules an import outside any function body
+    brings in when the module runs."""
+    found = set()
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_eager_import_checker_skips_function_bodies():
+    source = ("import os.path\nfrom re import A\nfrom . import tensor\n"
+              "try:\n    import zlib\nexcept ImportError:\n    pass\n"
+              "class C:\n    import bz2\n"
+              "def f():\n    import hashlib\n")
+    assert eager_imports(source) == {"os", "re", "zlib", "bz2"}
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_imports_hashlib_when_imported(module):
+    source = (Path(naryalg.__file__).parent / module).read_text()
+    assert not {"hashlib", "_hashlib"} & eager_imports(source)
