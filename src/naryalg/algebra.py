@@ -24,6 +24,7 @@ from .tensor import (
     antisymmetrize,
     format_rational,
     guard,
+    levi_civita,
     parse_rational,
     raise_lower,
 )
@@ -105,6 +106,8 @@ class Metric:
 
     @classmethod
     def lorentzian(cls, p: int, q: int) -> "Metric":
+        if p < 0 or q < 0:
+            raise ShapeError(f"negative count in signature ({p}, {q})")
         return cls.diag([-1] * p + [1] * q)
 
     def _dense(self, rows: dict) -> tuple:
@@ -338,14 +341,8 @@ def simple_filippov(n: int, signature) -> NaryAlgebra:
         raise ShapeError(f"signature length {len(signature)} != n+1 = {n + 1}")
     if any(s not in (1, -1) for s in signature):
         raise ShapeError("signature entries must be +1 or -1")
-    from .tensor import levi_civita
-
     d = n + 1
-    eps = levi_civita(d)
-    data = {}
-    for key, val in eps.data.items():
-        b = key[n]
-        data[key] = signature[b - 1] * val
+    data = {key: signature[key[n] - 1] * val for key, val in levi_civita(d).data.items()}
     p = signature.count(-1)
     name = f"A{d}" if p == 0 else f"A{p}+{d - p}"
     return NaryAlgebra(name, d, n, RationalTensor((d,) * (n + 1), data), Metric.diag(signature))
@@ -877,15 +874,33 @@ def from_json_dict(obj: dict) -> NaryAlgebra:
 _WRITE_CHUNK = 1024
 
 
-def _entry_template(rank: int, with_out: bool) -> str:
-    """%-template of one entry as json.dump(indent=1) lays it out in "entries"."""
-    n_in = rank - 1 if with_out else rank
-    inputs = ",\n".join(["    %d"] * n_in)
-    lines = ['  {', '   "in": [\n' + inputs + '\n   ],' if n_in else '   "in": [],']
-    if with_out:
-        lines.append('   "out": %d,')
-    lines += ['   "val": "%s"', '  }']
-    return "\n".join(lines)
+# What follows an entry's input indices in its file text: %-templates of
+# the key's indices after the inputs and of the value literal.
+_ALGEBRA_CLOSE = '\n   ],\n   "out": %d,\n   "val": "%s"\n  }'
+_FORM_CLOSE = '\n   ],\n   "val": "%s"\n  }'
+
+
+def _entry_texts(rows, close: str):
+    """The text of each entry of the rows (see tensor.RationalTensor.rows),
+    in their order, laid out as json.dump(indent=1) lays out an item of
+    "entries"; close is _ALGEBRA_CLOSE or _FORM_CLOSE.
+
+    Each permuted head is formatted once, and the tail texts of a sorted
+    head once for each sign, then shared by all of its permutations.  A
+    one-index head has no other permutation: its texts are streamed.
+    """
+    lead, sep = '  {\n   "in": [\n    ', ",\n    "
+    shared: dict = {}
+    for head, sign, tails in rows:
+        opening = lead + sep.join(map(str, head))
+        template = (sep + "%d") * (len(tails[0][0]) - close.count("%d")) + close
+        texts = (template % (*tail, format_rational(val if sign > 0 else -val))
+                 for tail, val in tails)
+        if len(head) > 1:
+            key = (tuple(sorted(head)), sign)
+            texts = shared[key] = shared.get(key) or list(texts)
+        for text in texts:
+            yield opening + text
 
 
 def _write_json(fh, header: dict, field: str, texts, chunk: int = _WRITE_CHUNK) -> None:
@@ -911,7 +926,7 @@ def _write_json(fh, header: dict, field: str, texts, chunk: int = _WRITE_CHUNK) 
 
 def _write_file(header: dict, texts, path) -> None:
     """Write header plus the entry texts, given in sorted key order and laid
-    out by _entry_template, as the file's "entries"."""
+    out by _entry_texts, as the file's "entries"."""
     with open(path, "w", encoding="utf-8") as fh:
         _write_json(fh, header, "entries", texts)
 
@@ -982,10 +997,9 @@ def _read_entry_file(path, with_out: bool):
 
 
 def save(L: NaryAlgebra, path) -> None:
-    template = _entry_template(L.n + 1, with_out=True)
-    data = L.f.data
-    _write_file(_header(L), (template % (key + (format_rational(data[key]),))
-                             for key in sorted(data)), path)
+    """Write L's file, streaming the rows of f; an OrbitTensor's size guard is
+    checked before the file is opened."""
+    _write_file(_header(L), _entry_texts(L.f.rows(), _ALGEBRA_CLOSE), path)
 
 
 def load(path) -> NaryAlgebra:

@@ -46,11 +46,11 @@ def _parse_metric(spec: str | None, d: int, fallback: Metric | None) -> Metric |
     if spec.startswith("lorentz:"):
         try:
             p, q = (int(x) for x in spec[len("lorentz:"):].split(","))
-        except ValueError as exc:
+            if p + q == d:
+                return Metric.lorentzian(p, q)
+        except ValueError as exc:  # ShapeError too: a negative count
             raise UsageError(f"bad lorentz spec {spec!r}") from exc
-        if p + q != d:
-            raise UsageError(f"lorentz:{p},{q} does not match dimension {d}")
-        return Metric.lorentzian(p, q)
+        raise UsageError(f"lorentz:{p},{q} does not match dimension {d}")
     try:
         obj = algebra._read_json(spec)
     except OSError as exc:
@@ -268,9 +268,11 @@ def _cmd_liealg(args) -> int:
         return EXIT_PASS
     basis = adjoint.centre(L)
     out["centre_dim"] = len(basis)
-    # one row at a time, each distinct value formatted once
+    # one row at a time, each distinct nonzero value formatted once; zeros,
+    # most of a sparse basis, skip the cache's hashing
     text = functools.lru_cache(None)(lambda x: '   "%s"' % Fraction(x))
-    rows = ("  [\n" + ",\n".join(map(text, vec)) + "\n  ]" if vec else "  []" for vec in basis)
+    rows = ("  [\n" + ",\n".join([text(x) if x else '   "0"' for x in vec]) + "\n  ]"
+            if vec else "  []" for vec in basis)
     algebra._write_json(sys.stdout, out, "centre_basis", rows, chunk=1)
     return EXIT_PASS
 

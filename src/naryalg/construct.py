@@ -5,9 +5,10 @@ The core construction takes an n-Leibniz algebra L1 and a metric m-Leibniz
 algebra L2 on the same space and defines a (n+m-3)-bracket through
 <[X1..X_{n-1}, Y1..Y_{m-2}], Y_{m-1}> = Tr(ad1_X ad2_Y); in coordinates the
 lowered constants are g_{A B d} = Tr(ad1_A ad2_{B d}), the mixed trace form,
-so the metric only raises the last slot.  Preconditions (symmetry property
-and metricity of L2, derivation property of ad2 on L1) are verified before
-building unless the caller explicitly forces an unverified construction.
+so the metric only raises the last slot.  The bracket is built once per
+orbit, like the form.  Preconditions (symmetry property and metricity of
+L2, derivation property of ad2 on L1) are verified before building unless
+the caller explicitly forces an unverified construction.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .algebra import (
     simple_filippov,
     zero_algebra,
 )
-from .forms import mixed_trace
+from .forms import _trace_orbits
 from .tensor import (
     RationalTensor,
     ShapeError,
@@ -123,7 +124,10 @@ def associated_leibniz(inp: ConstructionInput, force: bool = False) -> NaryAlgeb
     """The (n+m-3)-Leibniz algebra of the trace-form construction.
 
     Lowered constants are prefactor * Tr(ad1_A ad2_{B d}); the output passes
-    the FI and is metric whenever the verified preconditions hold.
+    the FI and is metric whenever the verified preconditions hold.  Raising
+    the form's last slot is raising h's input slot m-1, so the metric inverse
+    and the prefactor act on h before the contraction, and the bracket is an
+    OrbitTensor: skew on X's runs and on Y's runs within slots 1..m-2.
     """
     l1, l2, metric = inp.l1, inp.l2, inp.metric
     if not force:
@@ -133,10 +137,12 @@ def associated_leibniz(inp: ConstructionInput, force: bool = False) -> NaryAlgeb
     arity = l1.n + l2.n - 3
     if arity < 2:
         raise ShapeError(f"resulting arity {arity} < 2")
-    glow = mixed_trace(l1, l2).tensor  # slots (A, B, d)
+    m = l2.n
+    h = RationalTensor._trusted(l2.f.shape, l2.orbit_part(1, m - 2))
+    h = raise_lower(h, m - 1, metric, "raise")
     if inp.prefactor != 1:
-        glow = scale(glow, inp.prefactor)
-    galg = raise_lower(glow, arity + 1, metric, "raise")
+        h = scale(h, inp.prefactor)
+    galg = _trace_orbits(l1, l2, h, m - 2)
     name = f"assoc({l1.name},{l2.name})"
     out = NaryAlgebra(name, l1.d, arity, galg, metric)
     out.verified = not force

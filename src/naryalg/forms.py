@@ -6,97 +6,64 @@ variants scale it themselves.
 A trace form is computed and kept once per orbit.  f is skew on its input
 runs, so k(X, Y) = Tr(ad1_X ad2_Y) is skew on X's runs and on Y's runs, and
 mixed_trace contracts only f's entries at block-sorted X and h's at
-block-sorted Y.  One expansion, in sorted key order, serves both readers of
-the whole form: TraceForm.tensor, built on demand, and save, which streams
-the entries into the file writer without building the tensor.
+block-sorted Y into a tensor.OrbitTensor.  Its one expansion, in sorted key
+order, serves both readers of the whole form: its data, built on first use,
+and save, which streams the entries into the file writer without building
+them.  The compose bracket in construct comes from the same contraction.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import linalg
 from .algebra import (
+    _FORM_CLOSE,
     AlgebraFileError,
     CheckReport,
     Coordinates,
     NaryAlgebra,
-    _entry_template,
+    _entry_texts,
     _group_ad,
     _read_entries,
     _read_entry_file,
     _write_file,
 )
-from .tensor import RationalTensor, ShapeError, _parity, contract, format_rational, guard
+from .tensor import OrbitTensor, RationalTensor, ShapeError, contract, format_rational, guard
 
 
 @dataclass
 class TraceForm:
     """Tr(ad1_X ad2_Y) on basis tuples; first n-1 slots from L1, last m-1 from L2.
 
-    orbits holds one entry per orbit: the form at its block-sorted keys,
-    increasing inside each of runs, the 1-based (first, last) slot runs it is
-    skew on.  A form read from a file has one-slot runs, so its orbits are
-    all of its entries.
+    tensor is the form kept once per orbit: tensor.runs are X's runs, then
+    Y's shifted by n-1.  A form read from a file has one-slot runs, so its
+    orbits are all of its entries.
     """
 
     arity1: int
     arity2: int
-    orbits: RationalTensor
-    runs: tuple
+    tensor: OrbitTensor
 
     @property
     def d(self) -> int:
-        return self.orbits.shape[0] if self.orbits.shape else 0
-
-    @cached_property
-    def tensor(self) -> RationalTensor:
-        """Every entry of the form."""
-        data = {head + tail: val if sign > 0 else -val
-                for head, sign, tails in _expansion_rows(self) for tail, val in tails}
-        return RationalTensor._trusted(self.orbits.shape, data)
+        return self.tensor.shape[0] if self.tensor.shape else 0
 
 
-def _expansion_rows(k: TraceForm):
-    """The rows of _rows for all of k, once k's size passes the guard."""
-    lengths = tuple(hi - lo + 1 for lo, hi in k.runs)
-    guard(k.orbits.nnz * math.prod(map(math.factorial, lengths)), "trace form expansion")
-    return _rows(sorted(k.orbits.data.items()), lengths)
+def _trace_orbits(l1: NaryAlgebra, l2: NaryAlgebra, h: RationalTensor, last: int) -> OrbitTensor:
+    """sum_{b,c} f_{X b}^c h_{Y c}^b at block-sorted X and at Y block-sorted
+    on l2's input slots 1..last, as an OrbitTensor whose later slots are
+    one-slot runs.
 
-
-def _rows(items: list, lengths: tuple):
-    """Expand sorted (key, value) orbit entries, skew on consecutive slot runs
-    of the given lengths, into rows (head, sign, tails) in sorted key order.
-
-    A row stands for the entries head + tail, valued sign * value, for each
-    (tail, value) in tails.  head is a permutation of the first run's part of
-    a key and tails the sorted expansion of the rest; tails is one list per
-    sorted head, shared by all of its permutations.
+    h is l2's f at those Y, its later slots possibly mapped (the compose
+    bracket raises slot m-1); f is l1's.
     """
-    h, rest = lengths[0], lengths[1:]
-    groups = ((srt, _expand([(key[h:], val) for key, val in group], rest))
-              for srt, group in itertools.groupby(items, key=lambda item: item[0][:h]))
-    if h == 1:
-        # every head is its own orbit: stream, keeping one head's tails at a time
-        for head, tails in groups:
-            yield head, 1, tails
-        return
-    shared = dict(groups)
-    heads = sorted((perm, _parity(perm), srt)
-                   for srt in shared for perm in itertools.permutations(srt))
-    for perm, sign, srt in heads:
-        yield perm, sign, shared[srt]
-
-
-def _expand(items: list, lengths: tuple) -> list:
-    """The sorted (key, value) entries of the expansion of items (see _rows)."""
-    if all(h == 1 for h in lengths):
-        return items
-    return [(head + tail, val if sign > 0 else -val)
-            for head, sign, tails in _rows(items, lengths) for tail, val in tails]
+    n, m = l1.n, l2.n
+    x = RationalTensor._trusted(l1.f.shape, l1.orbit_part(1, n - 1))
+    k = contract(x, (n, n + 1), h, (m + 1, m))
+    runs = l1.runs_within(1, n - 1) + tuple((lo + n - 1, hi + n - 1)
+                                             for lo, hi in l2.runs_within(1, last))
+    return OrbitTensor(k, runs + tuple((s, s) for s in range(runs[-1][1] + 1, k.rank + 1)))
 
 
 def mixed_trace(l1: NaryAlgebra, l2: NaryAlgebra) -> TraceForm:
@@ -107,11 +74,9 @@ def mixed_trace(l1: NaryAlgebra, l2: NaryAlgebra) -> TraceForm:
     """
     if l1.d != l2.d:
         raise ShapeError(f"dimension mismatch: {l1.d} != {l2.d}")
-    n, m = l1.n, l2.n
-    x, y = (RationalTensor._trusted(L.f.shape, L.orbit_part(1, L.n - 1)) for L in (l1, l2))
-    k = contract(x, (n, n + 1), y, (m + 1, m))
-    return TraceForm(n, m, k, l1.runs_within(1, n - 1)
-                     + tuple((lo + n - 1, hi + n - 1) for lo, hi in l2.runs_within(1, m - 1)))
+    m = l2.n
+    h = RationalTensor._trusted(l2.f.shape, l2.orbit_part(1, m - 1))
+    return TraceForm(l1.n, m, _trace_orbits(l1, l2, h, m - 1))
 
 
 def kasymov(L: NaryAlgebra) -> TraceForm:
@@ -195,7 +160,7 @@ def kasymov_nondegenerate(L: NaryAlgebra) -> CheckReport:
 
 def _header(k: TraceForm, name: str) -> dict:
     """Every field of the trace form file except "entries"."""
-    return {"name": name, "dim": k.d, "slots": k.orbits.rank,
+    return {"name": name, "dim": k.d, "slots": k.tensor.rank,
             "arity1": k.arity1, "arity2": k.arity2}
 
 
@@ -222,36 +187,14 @@ def from_json_dict(obj: dict) -> TraceForm:
             or arity1 + arity2 - 2 != slots):
         raise AlgebraFileError(f"bad arity1/arity2 ({arity1!r}, {arity2!r}) for {slots} slots")
     data = _read_entries(entries, d, slots, with_out=False)
-    return TraceForm(arity1, arity2, RationalTensor._trusted((d,) * slots, data),
-                     tuple((s, s) for s in range(1, slots + 1)))
-
-
-def _entry_texts(rows):
-    """The file text of each entry of the rows, in their order.
-
-    Each permuted head is formatted once, and the tail texts of a sorted
-    head once for each sign, then shared by all of its permutations.
-    """
-    lead, sep, close = _entry_template(2, with_out=False).split("%d")
-    shared: dict = {}
-    for head, sign, tails in rows:
-        opening = lead + sep.join(map(str, head))
-        key = (tuple(sorted(head)), sign)
-        texts = shared.get(key)
-        if texts is None:
-            texts = ["".join([sep + str(i) for i in tail])
-                     + close % format_rational(val if sign > 0 else -val)
-                     for tail, val in tails]
-            if len(head) > 1:
-                shared[key] = texts
-        for text in texts:
-            yield opening + text
+    return TraceForm(arity1, arity2, OrbitTensor(RationalTensor._trusted((d,) * slots, data),
+                                                 tuple((s, s) for s in range(1, slots + 1))))
 
 
 def save(k: TraceForm, path, name: str = "trace-form") -> None:
     """Write k's file, streaming its expansion; the size guard is checked
     before the file is opened."""
-    _write_file(_header(k, name), _entry_texts(_expansion_rows(k)), path)
+    _write_file(_header(k, name), _entry_texts(k.tensor.rows(), _FORM_CLOSE), path)
 
 
 def load(path) -> TraceForm:

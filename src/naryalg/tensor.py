@@ -129,10 +129,6 @@ class RationalTensor:
         return len(self.shape)
 
     @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
-    @property
     def nnz(self) -> int:
         return len(self.data)
 
@@ -155,6 +151,80 @@ class RationalTensor:
     def entries(self):
         """Iterate (index, value) in lexicographic index order."""
         return iter(sorted(self.data.items()))
+
+    def rows(self):
+        """Every entry as the rows (head, sign, tails) of _rows, in sorted key
+        order: one row per first index."""
+        data = self.data
+        return _rows(((key, data[key]) for key in sorted(data)), (1,) * self.rank)
+
+
+class OrbitTensor(RationalTensor):
+    """A tensor kept once per orbit of the slot runs it is skew on.
+
+    orbits holds its entries at the keys increasing inside each of runs, the
+    1-based (first, last) slot runs covering every slot in order; a one-slot
+    run is no constraint.  data, every entry, is expanded once on first use;
+    rows() streams the same expansion without building it.  Either is
+    guarded on the entry count, orbits x the product of the runs'
+    factorials ("trace form expansion", the name its users refuse with).
+    """
+
+    __slots__ = ("orbits", "runs", "_data")
+
+    def __init__(self, orbits: RationalTensor, runs: tuple):
+        self.shape = orbits.shape
+        self.orbits = orbits
+        self.runs = runs
+        self._data = None
+
+    @property
+    def data(self) -> dict:
+        if self._data is None:
+            self._data = {head + tail: val if sign > 0 else -val
+                          for head, sign, tails in self.rows() for tail, val in tails}
+        return self._data
+
+    def rows(self):
+        lengths = tuple(hi - lo + 1 for lo, hi in self.runs)
+        guard(self.orbits.nnz * math.prod(map(math.factorial, lengths)), "trace form expansion")
+        return _rows(sorted(self.orbits.data.items()), lengths)
+
+
+def _rows(items, lengths: tuple):
+    """Expand an iterable of sorted (key, value) orbit entries, skew on
+    consecutive slot runs of the given lengths, into rows (head, sign, tails)
+    in sorted key order.
+
+    A row stands for the entries head + tail, valued sign * value, for each
+    (tail, value) in tails.  head is a permutation of the first run's part of
+    a key and tails the sorted expansion of the rest; tails is one list per
+    sorted head, shared by all of its permutations.
+    """
+    h, rest = lengths[0], lengths[1:]
+    groups = ((srt, _expand([(key[h:], val) for key, val in group], rest))
+              for srt, group in itertools.groupby(items, key=lambda item: item[0][:h]))
+    if h == 1:
+        # every head is its own orbit: stream, keeping one head's tails at a time
+        for head, tails in groups:
+            yield head, 1, tails
+        return
+    import heapq  # only an expansion needs it; every request imports this module
+
+    # the permutations of an increasing head come in sorted order, each with
+    # the sign of its position in permutations(range(h)); merging the heads'
+    # streams keeps one permutation of each at a time
+    signs = [_parity(perm) for perm in itertools.permutations(range(h))]
+    yield from heapq.merge(*(zip(itertools.permutations(srt), signs, itertools.repeat(tails))
+                             for srt, tails in groups))
+
+
+def _expand(items: list, lengths: tuple) -> list:
+    """The sorted (key, value) entries of the expansion of items (see _rows)."""
+    if all(h == 1 for h in lengths):
+        return items
+    return [(head + tail, val if sign > 0 else -val)
+            for head, sign, tails in _rows(items, lengths) for tail, val in tails]
 
 
 @dataclass(frozen=True)
@@ -201,15 +271,13 @@ def _validate_slots(t: RationalTensor, slots) -> tuple:
     return slots
 
 
-def levi_civita(d: int) -> RationalTensor:
-    """Totally antisymmetric rank-d symbol with value +1 at (1, 2, ..., d)."""
+def levi_civita(d: int) -> OrbitTensor:
+    """Totally antisymmetric rank-d symbol with value +1 at (1, 2, ..., d):
+    one orbit."""
     if d < 1:
         raise ShapeError("levi_civita requires d >= 1")
     guard(math.factorial(d), f"levi_civita({d})")
-    data = {}
-    for perm in itertools.permutations(range(1, d + 1)):
-        data[perm] = _parity(perm)
-    return RationalTensor((d,) * d, data)
+    return OrbitTensor(RationalTensor._trusted((d,) * d, {tuple(range(1, d + 1)): 1}), ((1, d),))
 
 
 def kronecker_delta(d: int) -> RationalTensor:

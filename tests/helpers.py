@@ -26,3 +26,8 @@ def partitions(n: int, cap: int | None = None):
     for first in range(min(n, cap), 0, -1):
         for rest in partitions(n - first, first):
             yield (first,) + rest
+
+
+def expansion(t):
+    """Every entry of t, as (key, value), in the order its rows() streams them."""
+    return [(head + tail, sign * val) for head, sign, tails in t.rows() for tail, val in tails]

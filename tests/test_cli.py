@@ -145,6 +145,12 @@ class TestGenCheckPipeline:
                     "--metric", "lorentz:2,2"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("spec", ["lorentz:-1,5", "lorentz:5,-1"])
+    def test_negative_lorentz_count_is_a_bad_spec(self, a4_file, capsys, spec):
+        # the counts sum to the dimension, but a negative count is no signature
+        assert run(["check", str(a4_file), "--suite", "metricity", "--metric", spec]) == 2
+        assert capsys.readouterr().err == f"naryalg: error: bad lorentz spec {spec!r}\n"
+
 
 class TestCompose:
     def test_half_prefactor_reproduces_cs_so4(self, a4_file, tmp_path, capsys):
@@ -302,6 +308,20 @@ class TestOtherVerbs:
         assert not out.exists()
         monkeypatch.setenv("NARY_SIZE_GUARD", "8640")
         assert run(["kasymov", str(path), "-o", str(out)]) == 0
+
+    def test_compose_construction_is_guarded(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "a6.json"
+        assert run(["gen", "--family", "A", "--n", "5", "-o", str(path)]) == 0
+        out = tmp_path / "c.json"
+        argv = ["compose", "--l1", str(path), "--l2", str(path), "--force", "-o", str(out)]
+        # the bracket's orbits x 4! x 3! x 1! = 60 x 144 = 8640 entries, the
+        # count of the form it raises, refused before the file is opened
+        monkeypatch.setenv("NARY_SIZE_GUARD", "8639")
+        assert run(argv) == 3
+        assert "trace form expansion: 8640 exceeds size guard 8639" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setenv("NARY_SIZE_GUARD", "8640")
+        assert run(argv) == 0
 
     def test_liealg(self, a4_file, capsys):
         assert run(["liealg", str(a4_file), "--kernel", "--centre"]) == 0

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naryalg import (
     ConstructionError,
@@ -18,13 +20,16 @@ from naryalg import (
     check_generalized_metric_l,
     check_metricity,
     check_skew,
+    contract,
     corollary_cs3,
     corollary_self,
     derivation_residual,
+    direct_sum,
     epsilon_pair_form,
     is_lie_triple,
     is_zero,
     mixed_trace,
+    raise_lower,
     scale,
     schouten_residual,
     simple_filippov,
@@ -34,7 +39,10 @@ from naryalg import (
     zero_algebra,
 )
 
-from change_of_basis import perturbed_a4
+from naryalg.tensor import OrbitTensor
+
+from change_of_basis import block_skew_algebras, change_basis, metrics, perturbed_a4, shears
+from helpers import expansion
 
 
 def non_metric_3leibniz(d=2):
@@ -125,6 +133,73 @@ class TestAssociatedLeibniz:
         path = tmp_path / "forced.json"
         save(out, path)
         assert load(path).verified is False
+
+
+def plain_bracket(l1, l2, metric, prefactor):
+    """The reference bracket from every entry of f and h: their contraction,
+    scaled, with its last slot raised."""
+    n, m = l1.n, l2.n
+    glow = scale(contract(l1.f, (n, n + 1), l2.f, (m + 1, m)), prefactor)
+    return raise_lower(glow, n + m - 2, metric, "raise")
+
+
+def assert_is_the_plain_bracket(l1, l2):
+    """The orbit bracket equals the reference on every entry, for every metric
+    and prefactor, and its rows stream exactly its sorted entries."""
+    for metric in metrics(l1.d):
+        for p in (0, 1, Fraction(-3, 7)):
+            out = associated_leibniz(ConstructionInput(l1, l2, metric, Fraction(p)), force=True)
+            plain = plain_bracket(l1, l2, metric, p)
+            assert isinstance(out.f, OrbitTensor)
+            assert expansion(out.f) == sorted(plain.data.items())
+            assert out.f == plain
+            assert all(type(v) is (int if v.denominator == 1 else Fraction)
+                       for v in out.f.data.values())
+
+
+class TestOrbitBracket:
+    """associated_leibniz contracts one entry of f and of the raised, scaled
+    h per orbit; its expansion is the plain construction on every entry."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 4]).flatmap(
+        lambda d: st.tuples(block_skew_algebras(d), block_skew_algebras(d))))
+    def test_block_skew_algebras(self, drawn):
+        # sparse random pairs mostly contract to nothing; dense partners
+        # on the same space make most brackets nonzero
+        d = drawn[0][0].d
+        partners = [builtin("A3")] if d == 3 else [builtin("A4"), builtin("cs-so4")]
+        for l1, l2 in itertools.chain(itertools.product(*drawn),
+                                      itertools.product(drawn[0], partners),
+                                      itertools.product(partners, drawn[1])):
+            if l1.n + l2.n - 3 >= 2:
+                assert_is_the_plain_bracket(l1, l2)
+
+    @pytest.mark.parametrize("name", ["A4", "cs-so4", "A5"])
+    def test_shears(self, name):
+        L = builtin(name)
+        for P in shears(L.d):
+            sheared = change_basis(L, P)
+            assert_is_the_plain_bracket(sheared, sheared)
+            assert_is_the_plain_bracket(L, sheared)
+
+    def test_arity_two_second_factor(self, a4):
+        so3 = direct_sum(builtin("A3"), zero_algebra(1, 2))
+        assert so3.n == 2
+        assert_is_the_plain_bracket(a4, so3)
+        assert_is_the_plain_bracket(builtin("A5"), direct_sum(so3, zero_algebra(1, 2)))
+
+    def test_run_less_inputs(self, a4, cs):
+        bent = perturbed_a4()
+        assert bent.skew_runs() == ((1, 1), (2, 2), (3, 3))
+        for l1, l2 in ((bent, bent), (bent, a4), (a4, bent), (cs, bent)):
+            assert_is_the_plain_bracket(l1, l2)
+
+    def test_runs(self, a6, seven_leibniz):
+        # X's runs, Y's runs within h's slots 1..m-2, and the output slot
+        out = associated_leibniz(ConstructionInput(a6, a6, a6.metric))
+        assert out.f.runs == ((1, 4), (5, 7), (8, 8))
+        assert seven_leibniz.f.runs == ((1, 6), (7, 7), (8, 8))
 
 
 class TestCorollaries:

@@ -1,10 +1,11 @@
 """The streamed file writer against json.dump, and the memory footprint of
 writing and reading large files.
 
-`algebra.save` and `forms.save` format the entries from a fixed template
-instead of going through json (`forms.save` streams a trace form's orbit
-expansion); json.dump of `to_json_dict` stays the reference, and the files
-must match it byte for byte.
+`algebra.save` and `forms.save` format the entries through one writer
+instead of going through json, streaming the rows of a tensor (an orbit
+expansion for a trace form or a constructed bracket); json.dump of
+`to_json_dict` stays the reference, and the files must match it byte for
+byte.
 """
 
 import json
@@ -17,10 +18,19 @@ from fractions import Fraction
 import pytest
 
 import naryalg
-from naryalg import Metric, algebra, builtin, forms, zero_algebra
+from naryalg import (
+    ConstructionInput,
+    Metric,
+    algebra,
+    associated_leibniz,
+    builtin,
+    direct_sum,
+    forms,
+    zero_algebra,
+)
 from naryalg.cli import run
 
-from change_of_basis import perturbed_a4, rescale
+from change_of_basis import metrics, perturbed_a4, rescale
 
 
 def reference_bytes(obj, path) -> bytes:
@@ -78,9 +88,29 @@ def test_trace_form_files_match_json_dump(tmp_path):
         # a loaded form has one-slot runs: saved again, it is the same file
         saved = (tmp_path / "saved.json").read_bytes()
         loaded = forms.load(tmp_path / "saved.json")
-        assert all(lo == hi for lo, hi in loaded.runs)
+        assert all(lo == hi for lo, hi in loaded.tensor.runs)
         assert_same_file(forms.save, forms.to_json_dict, loaded, tmp_path, name)
         assert (tmp_path / "saved.json").read_bytes() == saved
+
+
+def test_compose_files_match_json_dump(tmp_path):
+    a4, cs, bent = builtin("A4"), builtin("cs-so4"), perturbed_a4()
+    euclid, lorentz, skewed = metrics(4)
+    so3 = direct_sum(builtin("A3"), zero_algebra(1, 2))
+    cases = [
+        (a4, a4, euclid, Fraction(1, 2), False),
+        (a4, cs, lorentz, Fraction(5, 3), True),
+        (a4, a4, skewed, Fraction(-3, 7), True),
+        (cs, a4, skewed, 1, True),
+        (bent, a4, euclid, 1, True),
+        (zero_algebra(4, 3), a4, euclid, 0, True),
+        (a4, so3, euclid, 1, True),
+        (builtin("A8"), builtin("a4-sum-a4"), Metric.euclidean(8), 1, False),
+    ]
+    for l1, l2, metric, p, force in cases:
+        out = associated_leibniz(ConstructionInput(l1, l2, metric, Fraction(p)), force=force)
+        assert_same_file(algebra.save, algebra.to_json_dict, out, tmp_path)
+        assert algebra.load(tmp_path / "saved.json").f == out.f
 
 
 def test_kasymov_save_allocates_one_orbit_expansion_at_a_time(tmp_path):
@@ -123,6 +153,33 @@ def test_kasymov_write_peak_memory(tmp_path):
     peak_mb = int(done.stdout) / 1024
     # the json.dump writer and Fraction contraction peaked at about 220 MB
     assert peak_mb < 150
+
+
+COMPOSE_CHILD = """
+import sys
+from naryalg.cli import run
+for argv in (["gen", "--family", "A", "--n", "6", "-o", sys.argv[1]],
+             ["compose", "--l1", sys.argv[1], "--l2", sys.argv[1], "-o", sys.argv[2]]):
+    if run(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_compose_write_peak_memory(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(naryalg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", COMPOSE_CHILD, str(tmp_path / "a7.json"), str(tmp_path / "c7.json")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    peak_mb = int(done.stdout) / 1024
+    # the 9-bracket of A7 x A7 has 302,400 entries: about 133 MB when the
+    # whole bracket was expanded, scaled and raised before the file was
+    # written, about 21 MB streaming it from 105 orbits
+    assert peak_mb < 40
 
 
 LOAD_CHILD = """

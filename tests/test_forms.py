@@ -25,6 +25,7 @@ from naryalg import AlgebraFileError, forms, linalg
 from naryalg.tensor import SizeGuardError, contract
 
 from change_of_basis import block_skew_algebras, change_basis, perturbed_a4, rescale, shears
+from helpers import expansion
 
 
 def trace_of_ads(L1, L2, a_indices, b_indices):
@@ -106,9 +107,10 @@ def assert_is_the_plain_contraction(l1, l2):
     plain = contract(l1.f, (n, n + 1), l2.f, (m + 1, m))
     assert k.tensor == plain
     assert list(k.tensor.data) == sorted(plain.data)
-    assert k.orbits.data == {key: val for key, val in plain.data.items()
-                             if all(key[s] < key[s + 1] for lo, hi in k.runs
-                                    for s in range(lo - 1, hi - 1))}
+    assert expansion(k.tensor) == sorted(plain.data.items())
+    assert k.tensor.orbits.data == {key: val for key, val in plain.data.items()
+                                    if all(key[s] < key[s + 1] for lo, hi in k.tensor.runs
+                                           for s in range(lo - 1, hi - 1))}
 
 
 class TestOrbitTraceForm:
@@ -140,21 +142,21 @@ class TestOrbitTraceForm:
     def test_no_run_of_two_slots(self, a4):
         bent = perturbed_a4()
         assert bent.skew_runs() == ((1, 1), (2, 2), (3, 3))
-        assert kasymov(bent).runs == ((1, 1), (2, 2), (3, 3), (4, 4))
+        assert kasymov(bent).tensor.runs == ((1, 1), (2, 2), (3, 3), (4, 4))
         for l1, l2 in itertools.product([bent, a4], repeat=2):
             assert_is_the_plain_contraction(l1, l2)
 
     def test_one_entry_per_orbit(self, a6):
         k = kasymov(a6)
-        assert k.runs == ((1, 4), (5, 8))
+        assert k.tensor.runs == ((1, 4), (5, 8))
         # C(6, 2) orbits, each of 4! x 4! entries
-        assert (k.orbits.nnz, k.tensor.nnz) == (15, 15 * 24 * 24)
+        assert (k.tensor.orbits.nnz, k.tensor.nnz) == (15, 15 * 24 * 24)
 
     def test_expansion_is_guarded(self, a6, monkeypatch):
         monkeypatch.setenv("NARY_SIZE_GUARD", "8639")
         k = kasymov(a6)
         with pytest.raises(SizeGuardError, match="trace form expansion: 8640"):
-            k.tensor
+            k.tensor.data
 
 
 class TestValueRule:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import naryalg
-from naryalg import Metric, NaryAlgebra, RationalTensor, direct_sum, simple_filippov
+from naryalg import Metric, NaryAlgebra, RationalTensor, ShapeError, direct_sum, simple_filippov
 
 resource = pytest.importorskip("resource")
 
@@ -53,6 +53,13 @@ def test_diag_equals_the_dense_diagonal_matrix():
     assert Metric.diag(signs) == dense
     assert hash(Metric.diag(signs)) == hash(dense)
     assert Metric.diag(signs).inverse == dense.inverse
+
+
+@pytest.mark.parametrize("p, q", [(-1, 5), (3, -1), (-2, -2)])
+def test_lorentzian_rejects_a_negative_count(p, q):
+    with pytest.raises(ShapeError, match="negative count"):
+        Metric.lorentzian(p, q)
+    assert Metric.lorentzian(0, 2) == Metric.euclidean(2)
 
 
 def test_direct_sum_metric_equals_the_dense_block_matrix():

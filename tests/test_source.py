@@ -155,3 +155,79 @@ def test_eager_import_checker_skips_function_bodies():
 def test_no_module_imports_hashlib_when_imported(module):
     source = (Path(naryalg.__file__).parent / module).read_text()
     assert not {"hashlib", "_hashlib"} & eager_imports(source)
+
+
+# The orbit expansion has one copy, in tensor.py: every other module expands
+# through OrbitTensor.data or a tensor's rows(), never through its own.
+EXPANSION = {"_rows", "_expand"}
+
+
+def mentions(source: str, names: set) -> list:
+    """(name, line) of each definition, import, name or attribute reading
+    one of names, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend((a.asname or a.name, node.lineno) for a in node.names)
+            found.extend((a.name, node.lineno) for a in node.names if a.asname)
+        elif isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+    return sorted(((name, line) for name, line in found if name in names),
+                  key=lambda f: f[1])
+
+
+def test_mention_checker_sees_imports_attributes_and_definitions():
+    source = ("from .tensor import _rows as r\nx = tensor._expand(y)\n"
+              "def _rows():\n    pass\ntext = '_expand'\ndef rows(t):\n    return t.rows()\n")
+    assert mentions(source, EXPANSION) == [("_rows", 1), ("_expand", 2), ("_rows", 3)]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_orbit_expansion_only_in_tensor(module):
+    source = (Path(naryalg.__file__).parent / module).read_text()
+    assert module == "tensor.py" or mentions(source, EXPANSION) == []
+
+
+# An entry's file layout is written in one place: the literals of an item of
+# "entries" appear only in algebra._entry_texts and the two close templates
+# it is given, so the algebra and trace form writers cannot drift apart.
+LAYOUT = ('"in": [', '"out": ', '"val": "')
+ENTRY_WRITER = {"_entry_texts", "_ALGEBRA_CLOSE", "_FORM_CLOSE"}
+
+
+def layout_owners(source: str) -> list:
+    """(owner, line) of each string literal holding a piece of the entry
+    layout: the top-level function, class or assigned name it is in, or None."""
+    def literals(node):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Constant)
+                and isinstance(c.value, str) and any(p in c.value for p in LAYOUT)]
+
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            owner = node.targets[0].id
+        else:
+            owner = None
+        found.extend((owner, c.lineno) for c in literals(node))
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_layout_checker_sees_literals_by_owner():
+    source = ("A = '   \"val\": \"%s\"'\nB = {'in': 1, 'val': 2}\n"
+              "def f():\n    return '\"in\": [' + x\n"
+              "class C:\n    T = '\"out\": %d'\n"
+              "print('\"val\": \"1\"')\n")
+    assert layout_owners(source) == [("A", 1), ("f", 4), ("C", 6), (None, 7)]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_entry_text_only_from_the_entry_writer(module):
+    source = (Path(naryalg.__file__).parent / module).read_text()
+    owners = {owner for owner, _ in layout_owners(source)}
+    assert owners == (ENTRY_WRITER if module == "algebra.py" else set())

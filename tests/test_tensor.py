@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naryalg.tensor import (
+    OrbitTensor,
     RationalTensor,
     ShapeError,
     SizeGuardError,
@@ -26,6 +27,8 @@ from naryalg.tensor import (
     symmetrize,
 )
 from naryalg.algebra import Metric
+
+from helpers import expansion
 
 
 def inversion_parity(seq):
@@ -83,6 +86,46 @@ class TestLeviCivita:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             levi_civita(13)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_one_orbit_expands_to_every_permutation(self, d):
+        eps = levi_civita(d)
+        assert isinstance(eps, OrbitTensor) and eps.orbits.nnz == 1
+        perms = list(itertools.permutations(range(1, d + 1)))
+        assert list(eps.data.items()) == [(p, inversion_parity(p)) for p in perms]
+        assert expansion(eps) == sorted(eps.data.items())
+
+
+class TestRows:
+    """rows() streams exactly the sorted entries, for a plain tensor and for
+    an OrbitTensor, whose data is that expansion."""
+
+    def test_plain_tensor(self):
+        t = RationalTensor((3, 2, 4), {(3, 1, 4): Fraction(-1, 2), (1, 2, 1): 5, (1, 1, 3): 2})
+        assert expansion(t) == sorted(t.data.items())
+        assert all(len(head) == 1 and sign == 1 for head, sign, _ in t.rows())
+
+    def test_orbit_tensor(self):
+        # skew on slots 1..2 and on 3..5; one-slot run 6
+        d = 4
+        orbits = {(1, 3, 1, 2, 4, 2): 3, (2, 4, 1, 3, 4, 1): Fraction(-2, 3), (1, 2, 2, 3, 4, 4): 1}
+        t = OrbitTensor(RationalTensor((d,) * 6, orbits), ((1, 2), (3, 5), (6, 6)))
+        reference = antisymmetrize(antisymmetrize(RationalTensor((d,) * 6, orbits), (1, 2)),
+                                   (3, 4, 5))
+        assert t == reference
+        assert list(t.data) == sorted(reference.data)
+        assert expansion(t) == sorted(reference.data.items())
+        assert t.nnz == 3 * 2 * 6
+
+    def test_expansion_is_guarded(self, monkeypatch):
+        t = OrbitTensor(RationalTensor((3,) * 3, {(1, 2, 3): 1}), ((1, 3),))
+        monkeypatch.setenv("NARY_SIZE_GUARD", "5")
+        with pytest.raises(SizeGuardError, match="trace form expansion: 6"):
+            t.rows()
+        with pytest.raises(SizeGuardError, match="trace form expansion: 6"):
+            t.data
+        monkeypatch.setenv("NARY_SIZE_GUARD", "6")
+        assert t.nnz == 6
 
 
 class TestContract:
