@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import NaryAlgebra, _matrix_cols
+from .algebra import NaryAlgebra, _flat, _matrix_cols
 from .tensor import ShapeError, _acc, guard
 
 
@@ -166,7 +166,7 @@ def lie_closure(L: NaryAlgebra) -> LieClosure:
     basis = []
 
     def insert(mat: dict) -> bool:
-        if eb.insert([x for row in _dense(mat, d) for x in row]):
+        if eb.insert(_flat(mat, d)):
             basis.append(mat)
             return True
         return False
@@ -198,8 +198,8 @@ def ad_kernel(L: NaryAlgebra):
 
     Returns (labels, vectors): labels lists all index tuples in lexicographic
     order and each vector holds the coefficients of one kernel basis element.
-    There is one equation per (l, s), in sorted order.  Guarded on the dense
-    equations and kernel vectors it builds.
+    There is one equation per (l, s), in sorted order, each a {column: value}
+    map.  Guarded on the equations counted as dense and the kernel vectors.
     """
     d = L.d
     ncols = d ** (L.n - 1)
@@ -210,7 +210,7 @@ def ad_kernel(L: NaryAlgebra):
         col = 0
         for i in key[:-2]:
             col = col * d + i - 1
-        rows.setdefault(key[-2:], [0] * ncols)[col] += val
+        rows.setdefault(key[-2:], {})[col] = val
     vectors = linalg.nullspace([rows[k] for k in sorted(rows)], ncols)
     return list(itertools.product(range(1, d + 1), repeat=L.n - 1)), vectors
 
@@ -220,17 +220,11 @@ def centre(L: NaryAlgebra):
 
     Solves (ad_A y)^s = 0 for the members A of L.ad_span() only: every ad_A
     is a combination of theirs, so the equations span the same row space,
-    whose rref fixes the kernel basis.  Guarded on the dense equations and
-    kernel vectors it builds.
+    whose rref fixes the kernel basis.  Guarded on the equations counted as
+    dense and the kernel vectors.
     """
     d = L.d
     cols = [_matrix_cols(mrows) for _, mrows in L.ad_span()]
     guard(d * (sum(map(len, cols)) + d), f"kernel({L.name})")
-    rows = []
-    for mcols in cols:
-        for col in mcols.values():
-            row = [0] * d
-            for l, val in col.items():
-                row[l - 1] = val
-            rows.append(row)
-    return linalg.nullspace(rows, d)
+    return linalg.nullspace(({l - 1: val for l, val in col.items()}
+                             for mcols in cols for col in mcols.values()), d)

@@ -102,13 +102,13 @@ class Metric:
 
     @classmethod
     def euclidean(cls, d: int) -> "Metric":
-        return cls.diag([1] * d)
+        return cls._of_rows(d, {i: {i: 1} for i in range(1, d + 1)})
 
     @classmethod
     def lorentzian(cls, p: int, q: int) -> "Metric":
         if p < 0 or q < 0:
             raise ShapeError(f"negative count in signature ({p}, {q})")
-        return cls.diag([-1] * p + [1] * q)
+        return cls._of_rows(p + q, {i: {i: -1 if i <= p else 1} for i in range(1, p + q + 1)})
 
     def _dense(self, rows: dict) -> tuple:
         return tuple(tuple(rows[i].get(j, 0) for j in range(1, self.d + 1))
@@ -281,15 +281,8 @@ class NaryAlgebra:
             rows = _group_ad(self.orbit_part(1, self.n - 1))
             guard(len(rows) * d * d, f"adjoint span({self.name})")
             eb = linalg.EchelonBasis(d * d)
-            reps = []
-            for a_tuple, mrows in sorted(rows.items()):
-                vec = [0] * (d * d)
-                for l, row in mrows.items():
-                    for s, val in row.items():
-                        vec[(l - 1) * d + (s - 1)] = val
-                if eb.insert(vec):
-                    reps.append((a_tuple, mrows))
-            self._cache["ad_span"] = reps
+            self._cache["ad_span"] = [(a_tuple, mrows) for a_tuple, mrows in sorted(rows.items())
+                                      if eb.insert(_flat(mrows, d))]
         return self._cache["ad_span"]
 
 
@@ -299,6 +292,12 @@ def _group_ad(data: dict) -> dict:
     for key, val in data.items():
         rows.setdefault(key[:-2], {}).setdefault(key[-2], {})[key[-1]] = val
     return rows
+
+
+def _flat(mat: dict, d: int) -> dict:
+    """A sparse 1-based {i: {j: value}} d x d matrix as the {column: value}
+    map of its row-major flattening, an EchelonBasis row."""
+    return {(i - 1) * d + j - 1: val for i, row in mat.items() for j, val in row.items()}
 
 
 def _skew_under_swap(data: dict, k: int) -> bool:

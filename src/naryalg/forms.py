@@ -85,7 +85,8 @@ def kasymov(L: NaryAlgebra) -> TraceForm:
 
 
 def _rank_report(columns, d: int) -> CheckReport:
-    """Rank-d test of the d-row matrix with the given columns; stops at rank d.
+    """Rank-d test of the d-row matrix with the given columns, each a 0-based
+    {row: value} map; stops at rank d.
 
     A failing report carries the first rref basis vector of the radical,
     the orthogonal complement of the column span, read off the same
@@ -109,19 +110,10 @@ def nondegenerate(k: TraceForm) -> CheckReport:
     Passing means k(X, basis, .., basis) = 0 forces X = 0.  A failing report
     carries a radical vector's coordinates as its witness.
     """
-    d = k.d
     cols: dict = {}
     for key, val in k.tensor.data.items():
-        cols.setdefault(key[1:], {})[key[0]] = val
-
-    def columns():
-        for rest in sorted(cols):
-            col = [0] * d
-            for first, val in cols[rest].items():
-                col[first - 1] = val
-            yield col
-
-    return _rank_report(columns(), d)
+        cols.setdefault(key[1:], {})[key[0] - 1] = val
+    return _rank_report((cols[rest] for rest in sorted(cols)), k.d)
 
 
 def _trace_product(arows: dict, brows: dict):
@@ -146,16 +138,8 @@ def kasymov_nondegenerate(L: NaryAlgebra) -> CheckReport:
         groups.setdefault(a_tuple[1:], []).append((a_tuple[0], arows))
     reps = L.ad_span()
     guard(len(groups) * len(reps) * d, f"Kasymov rank test({L.name})")
-
-    def columns():
-        for rest in sorted(groups):
-            for _, brows in reps:
-                col = [0] * d
-                for first, arows in groups[rest]:
-                    col[first - 1] = _trace_product(arows, brows)
-                yield col
-
-    return _rank_report(columns(), d)
+    return _rank_report(({first - 1: _trace_product(arows, brows) for first, arows in groups[rest]}
+                         for rest in sorted(groups) for _, brows in reps), d)
 
 
 def _header(k: TraceForm, name: str) -> dict:

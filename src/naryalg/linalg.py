@@ -1,14 +1,18 @@
 """Small exact linear-algebra helpers over Q.
 
-Vectors are lists/tuples of ints or Fractions, 0-based.  EchelonBasis is the
-one Gaussian elimination: rank, nullspace and invert fill one and read it.
+Vectors are 0-based: lists or tuples of ints or Fractions, or {column: value}
+maps of their nonzeros.  EchelonBasis is the one Gaussian elimination: rank,
+nullspace and invert fill one and read it.  It stores each row as such a map
+and subtracts rows through tensor._acc, so its work and memory follow the
+nonzeros, not the column count; a dense input is converted once, on entry.
+The kernel vectors and inverse rows it returns are dense lists of Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)  # shared by every zero of a normalized row
+from .tensor import _acc
 
 
 class SingularMatrixError(ValueError):
@@ -16,7 +20,11 @@ class SingularMatrixError(ValueError):
 
 
 class EchelonBasis:
-    """Incrementally maintained row-echelon basis of a rational vector space."""
+    """Incrementally maintained row-echelon basis of a rational vector space.
+
+    Each row is a {column: value} map of its nonzeros, normalized to 1 at its
+    pivot, the least column it stores.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -26,26 +34,25 @@ class EchelonBasis:
     def __len__(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Return vec reduced against the current basis (a fresh list)."""
-        vec = list(vec)
+    def reduce(self, vec) -> dict:
+        """vec, a {column: value} map or a dense sequence, reduced against the
+        current basis: a fresh map of its nonzeros."""
+        vec = _nonzeros(vec)
         for row, piv in zip(self.rows, self.pivots):
-            coef = vec[piv]
+            coef = vec.get(piv)
             if coef:
-                for j in range(piv, self.ncols):
-                    if row[j]:
-                        vec[j] -= coef * row[j]
+                for j, x in row.items():
+                    _acc(vec, j, -coef * x)
         return vec
 
     def insert(self, vec) -> bool:
         """Reduce and insert; True if vec enlarged the span."""
         vec = self.reduce(vec)
-        piv = next((j for j, x in enumerate(vec) if x), None)
-        if piv is None:
+        if not vec:
             return False
+        piv = min(vec)
         inv = Fraction(1, 1) / vec[piv]
-        row = [x * inv if x else _ZERO for x in vec]
-        self.rows.append(row)
+        self.rows.append({j: x * inv for j, x in vec.items()})
         self.pivots.append(piv)
         return True
 
@@ -57,13 +64,12 @@ class EchelonBasis:
         """
         done = {}
         for row, piv in zip(reversed(self.rows), reversed(self.pivots)):
-            row = list(row)
+            row = dict(row)
             for p, other in done.items():
-                coef = row[p]
+                coef = row.get(p)
                 if coef:
-                    for j in range(p, self.ncols):
-                        if other[j]:
-                            row[j] -= coef * other[j]
+                    for j, x in other.items():
+                        _acc(row, j, -coef * x)
             done[piv] = row
         pivots = sorted(done)
         return [done[p] for p in pivots], pivots
@@ -80,8 +86,14 @@ class EchelonBasis:
                 vec = [Fraction(0)] * self.ncols
                 vec[fc] = Fraction(1)
                 for row, pc in zip(rows, pivots):
-                    vec[pc] = -row[fc]
+                    if fc in row:
+                        vec[pc] = -row[fc]
                 yield vec
+
+
+def _nonzeros(vec) -> dict:
+    """A fresh {column: value} map of the nonzeros of a map or a sequence."""
+    return {j: x for j, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if x}
 
 
 def _filled(rows, ncols) -> EchelonBasis:
@@ -92,7 +104,8 @@ def _filled(rows, ncols) -> EchelonBasis:
 
 
 def rank(rows, ncols=None) -> int:
-    rows = [list(r) for r in rows]
+    """Rank of the matrix with the given rows; ncols is needed for map rows."""
+    rows = list(rows)
     if not rows:
         return 0
     return len(_filled(rows, len(rows[0]) if ncols is None else ncols))
@@ -104,14 +117,14 @@ def nullspace(rows, ncols):
 
 
 def invert(matrix):
-    """Exact inverse of a square matrix; raises SingularMatrixError."""
+    """Exact inverse of a square matrix of map or sequence rows; raises
+    SingularMatrixError."""
     n = len(matrix)
-    eb = _filled((list(row) + [Fraction(int(i == j)) for j in range(n)]
-                  for i, row in enumerate(matrix)), 2 * n)
+    eb = _filled((_nonzeros(row) | {n + i: 1} for i, row in enumerate(matrix)), 2 * n)
     rows, pivots = eb.rref()
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in rows]
+    return [[row.get(j, Fraction(0)) for j in range(n, 2 * n)] for row in rows]
 
 
 def mat_mul(a, b):

@@ -166,8 +166,9 @@ class OrbitTensor(RationalTensor):
     1-based (first, last) slot runs covering every slot in order; a one-slot
     run is no constraint.  data, every entry, is expanded once on first use;
     rows() streams the same expansion without building it.  Either is
-    guarded on the entry count, orbits x the product of the runs'
-    factorials ("trace form expansion", the name its users refuse with).
+    guarded on nnz, the entry count, which is orbits x the product of the
+    runs' factorials ("trace form expansion", the name its users refuse
+    with); reading nnz expands nothing.
     """
 
     __slots__ = ("orbits", "runs", "_data")
@@ -179,6 +180,12 @@ class OrbitTensor(RationalTensor):
         self._data = None
 
     @property
+    def nnz(self) -> int:
+        # exact: an orbit key increases strictly inside each run, so the
+        # permutations inside its runs give distinct keys
+        return self.orbits.nnz * math.prod(math.factorial(hi - lo + 1) for lo, hi in self.runs)
+
+    @property
     def data(self) -> dict:
         if self._data is None:
             self._data = {head + tail: val if sign > 0 else -val
@@ -186,9 +193,8 @@ class OrbitTensor(RationalTensor):
         return self._data
 
     def rows(self):
-        lengths = tuple(hi - lo + 1 for lo, hi in self.runs)
-        guard(self.orbits.nnz * math.prod(map(math.factorial, lengths)), "trace form expansion")
-        return _rows(sorted(self.orbits.data.items()), lengths)
+        guard(self.nnz, "trace form expansion")
+        return _rows(sorted(self.orbits.data.items()), tuple(hi - lo + 1 for lo, hi in self.runs))
 
 
 def _rows(items, lengths: tuple):
@@ -293,12 +299,6 @@ def _parity(seq) -> int:
             if seq[i] > seq[j]:
                 inv += 1
     return -1 if inv % 2 else 1
-
-
-def _sort_with_parity(seq):
-    order = sorted(range(len(seq)), key=lambda i: seq[i])
-    sign = _parity(order)
-    return tuple(seq[i] for i in order), sign
 
 
 def permute(t: RationalTensor, p) -> RationalTensor:
@@ -436,13 +436,13 @@ def _symmetrize(t, slots, normalized: bool, signed: bool, what: str) -> Rational
     for key, val in t.data.items():
         sub = tuple(key[s - 1] for s in slots)
         if not signed:
-            srt, sign = tuple(sorted(sub)), 1
+            sign = 1
         elif len(set(sub)) == k:
-            srt, sign = _sort_with_parity(sub)
+            sign = _parity(sub)
         else:
             continue
         rep = list(key)
-        for s, i in zip(slots, srt):
+        for s, i in zip(slots, sorted(sub)):
             rep[s - 1] = i
         _acc(reps, tuple(rep), sign * val)
     guard(len(reps) * math.factorial(k), f"{what} expansion")

@@ -151,6 +151,8 @@ def assert_is_the_plain_bracket(l1, l2):
             out = associated_leibniz(ConstructionInput(l1, l2, metric, Fraction(p)), force=True)
             plain = plain_bracket(l1, l2, metric, p)
             assert isinstance(out.f, OrbitTensor)
+            # nnz is exact and read from the orbits alone
+            assert out.f.nnz == len(plain.data) and out.f._data is None
             assert expansion(out.f) == sorted(plain.data.items())
             assert out.f == plain
             assert all(type(v) is (int if v.denominator == 1 else Fraction)
@@ -194,6 +196,13 @@ class TestOrbitBracket:
         assert bent.skew_runs() == ((1, 1), (2, 2), (3, 3))
         for l1, l2 in ((bent, bent), (bent, a4), (a4, bent), (cs, bent)):
             assert_is_the_plain_bracket(l1, l2)
+
+    def test_repr_expands_nothing(self):
+        a7 = builtin("A7")
+        out = associated_leibniz(ConstructionInput(a7, a7, a7.metric))
+        assert repr(out) == "NaryAlgebra('assoc(A7,A7)', d=7, n=9, nnz=302400)"
+        assert repr(out.f) == f"RationalTensor(shape={(7,) * 10}, nnz=302400)"
+        assert out.f._data is None and out.f.orbits.nnz == 105
 
     def test_runs(self, a6, seven_leibniz):
         # X's runs, Y's runs within h's slots 1..m-2, and the output slot

@@ -254,7 +254,7 @@ with open("/proc/self/status") as fh:
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_sparse_ad_span_peak_memory(tmp_path):
-    # four entries at d = 1000: each span member is a dense d^2 = 10^6 row
+    # four entries at d = 1000: each span member was a dense d^2 = 10^6 row
     path = tmp_path / "sparse.json"
     entries = [((1, 2), 3), ((2, 3), 1), ((3, 1), 2), ((4, 5), 6)]
     with open(path, "w", encoding="utf-8") as fh:
@@ -268,7 +268,8 @@ def test_sparse_ad_span_peak_memory(tmp_path):
     )
     peak_mb = int(done.stdout) / 1024
     # about 250 MB (and 8 s) when each normalized row held a new Fraction
-    # for every zero, about 64 MB sharing one
+    # for every zero, about 64 MB sharing one, about 17 MB keeping only the
+    # nonzeros (see test_linalg for d = 2000)
     assert peak_mb < 100
 
 

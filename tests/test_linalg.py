@@ -7,6 +7,11 @@ is 1 there and 0 at the other free columns.  Examples are derandomized.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -99,3 +104,75 @@ def test_invert_is_a_left_inverse_or_raises(mat):
     inverse = linalg.invert(mat)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     assert (linalg.mat_mul(inverse, mat) if n else inverse) == identity
+
+
+def typed(vectors):
+    return [[(type(x), x) for x in vec] for vec in vectors]
+
+
+@PROPERTY
+@given(matrices(), st.booleans())
+@example(([], 3, []), False)
+@example(([[0, 0, 0], [0, 0, 0]], 3, [1, 0]), True)
+@example(([[1, 2], [2, 4], [3, 6]], 2, [2, 0, 1]), False)
+def test_map_rows_eliminate_as_their_dense_rows(matrix, keep_zeros):
+    """A row given as a {column: value} map, with or without explicit zeros,
+    gives what its dense list gives; no reduced or stored row holds a zero."""
+    rows, ncols, _ = matrix
+    maps = [{j: x for j, x in enumerate(r) if keep_zeros or x} for r in rows]
+    assert linalg.rank(maps, ncols) == linalg.rank(rows, ncols)
+    assert typed(linalg.nullspace(maps, ncols)) == typed(linalg.nullspace(rows, ncols))
+    dense, sparse = linalg.EchelonBasis(ncols), linalg.EchelonBasis(ncols)
+    for row, mapped in zip(rows, maps):
+        reduced = sparse.reduce(mapped)
+        assert reduced == dense.reduce(row) and all(reduced.values())
+        assert sparse.insert(mapped) == dense.insert(row)
+    assert sparse.rref() == dense.rref()
+    assert sparse.pivots == [min(row) for row in sparse.rows]
+    assert all(x for row in sparse.rows + sparse.rref()[0] for x in row.values())
+
+
+@PROPERTY
+@given(square_matrices())
+@example([[0, 1], [1, 0]])
+@example([[1, 2], [2, 4]])
+def test_invert_map_rows_as_dense_rows(mat):
+    maps = [{j: x for j, x in enumerate(r) if x} for r in mat]
+    try:
+        inverse = linalg.invert(mat)
+    except linalg.SingularMatrixError:
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.invert(maps)
+        return
+    assert typed(linalg.invert(maps)) == typed(inverse)
+    assert all(type(x) is Fraction for row in inverse for x in row)
+
+
+# The adjoint span of a four-entry arity-2 algebra of dimension 2,000, in a
+# child that prints its own peak resident set (VmHWM: the child's alone).
+SPAN_CHILD = """
+import sys
+from naryalg import algebra
+assert len(algebra.load(sys.argv[1]).ad_span()) == 4
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_sparse_ad_span_peak_memory_at_d_2000(tmp_path):
+    path = tmp_path / "sparse.json"
+    entries = [((1, 2), 3), ((2, 3), 1), ((3, 1), 2), ((4, 5), 6)]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"name": "sparse", "dim": 2000, "arity": 2, "entries": [
+            {"in": list(ins), "out": out, "val": "1"} for ins, out in entries]}, fh)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", SPAN_CHILD, str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120, check=True,
+    )
+    peak_mb = int(done.stdout) / 1024
+    # about 200 MB when each span member was a dense row of d^2 = 4 million
+    # entries, about 16 MB keeping its two nonzeros
+    assert peak_mb < 30

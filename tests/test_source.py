@@ -231,3 +231,29 @@ def test_entry_text_only_from_the_entry_writer(module):
     source = (Path(naryalg.__file__).parent / module).read_text()
     owners = {owner for owner, _ in layout_owners(source)}
     assert owners == (ENTRY_WRITER if module == "algebra.py" else set())
+
+
+# The adjoint maps, the Lie closure and the trace-form rank tests hand the
+# elimination {column: value} maps of the nonzeros they hold; a dense vector
+# built by list repetition ([x] * n) would bring back a fill the size of the
+# column count.
+SPARSE_MODULES = ["algebra.py", "forms.py", "adjoint.py"]
+
+
+def list_repetitions(source: str) -> list:
+    """Lines of each product of a list display and anything, either way round."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                  and (isinstance(node.left, ast.List) or isinstance(node.right, ast.List)))
+
+
+def test_list_repetition_checker_sees_either_side_not_tuples_or_comprehensions():
+    source = ("a = [0] * n\nb = d * [Fraction(0)]\nc = (0,) * n\n"
+              "e = [0 for _ in range(n)]\nf = [[0] * m for _ in range(n)]\ng = x * y\n")
+    assert list_repetitions(source) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("module", SPARSE_MODULES)
+def test_no_vector_by_list_repetition(module):
+    source = (Path(naryalg.__file__).parent / module).read_text()
+    assert list_repetitions(source) == []
