@@ -20,7 +20,9 @@ from .tensor import (
     RationalTensor,
     ShapeError,
     _acc,
+    _gather,
     _integral,
+    _slot_getters,
     antisymmetrize,
     format_rational,
     guard,
@@ -662,12 +664,17 @@ def _impure_component(f: RationalTensor, n: int):
 
     f is skew in input slots 1..n-1 and n..2n-3, so by Pieri's rule it holds
     only the two-column patterns r = 0..n-2.  Antisymmetrizing its first
-    n-1+k input slots kills exactly the patterns with r > n-2-k.
+    n-1+k input slots kills exactly the patterns with r > n-2-k; only the
+    gather of each is built, since it is empty iff that antisymmetrization is
+    zero.  k = 1 decides purity; the larger k run only on an impure f, to
+    name the least r.
     """
-    for k in range(n - 2, 0, -1):
-        if antisymmetrize(f, range(1, n + k)).data:
-            return n - 2 - k
-    return None
+    def impure(k):
+        return bool(_gather(f, _slot_getters(f.rank, range(1, n + k)), True))
+
+    if not impure(1):
+        return None
+    return next((n - 2 - k for k in range(n - 2, 1, -1) if impure(k)), n - 3)
 
 
 def is_lie_lple(L: NaryAlgebra) -> CheckReport:

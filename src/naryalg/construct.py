@@ -231,15 +231,15 @@ def trace_form(generators: dict, factor=1) -> dict:
 
 
 def epsilon_pair_form(d: int = 4) -> dict:
-    """(L_{ij}, L_{kl}) -> eps_{ijkl}; only nonzero entries are kept."""
-    eps = levi_civita(d)
-    form = {}
-    for p in itertools.combinations(range(1, d + 1), 2):
-        for q in itertools.combinations(range(1, d + 1), 2):
-            val = eps.get(p + q) if d == 4 else 0
-            if val:
-                form[(p, q)] = val
-    return form
+    """(L_{ij}, L_{kl}) -> eps_{ijkl}; only nonzero entries are kept.
+
+    Only d = 4 pairs two index pairs into eps: every other d gives {}.
+    """
+    if d != 4:
+        return {}
+    eps = levi_civita(4).data
+    pairs = list(itertools.combinations(range(1, 5), 2))
+    return {(p, q): eps[p + q] for p in pairs for q in pairs if p + q in eps}
 
 
 def triple_from_lie(generators: dict, form: dict, metric: Metric) -> NaryAlgebra:

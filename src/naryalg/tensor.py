@@ -20,6 +20,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 DEFAULT_SIZE_GUARD = 300_000_000
 
@@ -312,16 +313,11 @@ def permute(t: RationalTensor, p) -> RationalTensor:
         dest = tuple(int(x) for x in p)
         if sorted(dest) != list(range(1, t.rank + 1)):
             raise ShapeError(f"{dest} is not a permutation of 1..{t.rank}")
-    shape = [0] * t.rank
-    for s in range(t.rank):
-        shape[dest[s] - 1] = t.shape[s]
-    out = {}
-    for key, val in t.data.items():
-        new = [0] * t.rank
-        for s in range(t.rank):
-            new[dest[s] - 1] = key[s]
-        out[tuple(new)] = val
-    return RationalTensor._trusted(tuple(shape), out)
+    if t.rank < 2:
+        return RationalTensor._trusted(t.shape, dict(t.data))
+    # slot j of the result is the slot of t whose destination is j
+    pick, _ = _slot_getters(t.rank, sorted(range(1, t.rank + 1), key=lambda s: dest[s - 1]))
+    return RationalTensor._trusted(pick(t.shape), {pick(key): val for key, val in t.data.items()})
 
 
 def scale(t: RationalTensor, c) -> RationalTensor:
@@ -423,6 +419,32 @@ def symmetrize(t, slots, normalized: bool = False) -> RationalTensor:
     return _symmetrize(t, slots, normalized, False, "symmetrize")
 
 
+def _slot_getters(rank: int, slots) -> tuple:
+    """The itemgetters (pick, place) of two or more 1-based slots of a
+    rank-`rank` key: pick(key) is the tuple of key's indices at slots, and
+    place(key + sub) is key with the tuple sub written into slots, in order."""
+    at = {s - 1: rank + i for i, s in enumerate(slots)}
+    return itemgetter(*(s - 1 for s in slots)), itemgetter(*(at.get(i, i) for i in range(rank)))
+
+
+def _gather(t, getters: tuple, signed: bool) -> dict:
+    """The (signed) sum of t over each orbit of the slots of getters, at
+    the key whose slots are sorted: empty iff the (anti)symmetrization over
+    those slots is zero.  Signed, a key with a repeated index there adds nothing."""
+    pick, place = getters
+    reps = {}
+    for key, val in t.data.items():
+        sub = pick(key)
+        srt = tuple(sorted(sub))
+        if signed:
+            if len(set(srt)) < len(srt):
+                continue
+            if _parity(sub) < 0:
+                val = -val
+        _acc(reps, place(key + srt), val)
+    return reps
+
+
 def _symmetrize(t, slots, normalized: bool, signed: bool, what: str) -> RationalTensor:
     # Gather each orbit onto its sorted representative, then expand it again.
     slots = _validate_slots(t, slots)
@@ -432,31 +454,17 @@ def _symmetrize(t, slots, normalized: bool, signed: bool, what: str) -> Rational
         raise ShapeError(f"slots {slots} have mixed dimensions {sorted(dims)}")
     if k <= 1:
         return RationalTensor._trusted(t.shape, dict(t.data))
-    reps = {}
-    for key, val in t.data.items():
-        sub = tuple(key[s - 1] for s in slots)
-        if not signed:
-            sign = 1
-        elif len(set(sub)) == k:
-            sign = _parity(sub)
-        else:
-            continue
-        rep = list(key)
-        for s, i in zip(slots, sorted(sub)):
-            rep[s - 1] = i
-        _acc(reps, tuple(rep), sign * val)
+    pick, place = getters = _slot_getters(t.rank, slots)
+    reps = _gather(t, getters, signed)
     guard(len(reps) * math.factorial(k), f"{what} expansion")
     out = {}
     for rep, val in reps.items():
-        srt = tuple(rep[s - 1] for s in slots)
+        srt = pick(rep)
         stab = math.prod(math.factorial(srt.count(i)) for i in set(srt))
         val = _integral(val * Fraction(stab, math.factorial(k))) if normalized else val * stab
         perms = itertools.permutations(srt)
         for perm in perms if signed else set(perms):
-            key = list(rep)
-            for s, i in zip(slots, perm):
-                key[s - 1] = i
-            out[tuple(key)] = _parity(perm) * val if signed else val
+            out[place(rep + perm)] = _parity(perm) * val if signed else val
     return RationalTensor._trusted(t.shape, out)
 
 
@@ -469,9 +477,9 @@ def raise_lower(t, slot, metric, direction: str) -> RationalTensor:
         raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
     rows = metric.rows if direction == "lower" else metric.inverse_rows
     out = {}
+    i = slot - 1
     for key, val in t.data.items():
-        for j, g in rows[key[slot - 1]].items():
-            new = list(key)
-            new[slot - 1] = j
-            _acc(out, tuple(new), val * g)
+        for j, g in rows[key[i]].items():
+            # a diagonal term keeps the key itself
+            _acc(out, key if j == key[i] else key[:i] + (j,) + key[slot:], val * g)
     return RationalTensor._trusted(t.shape, {key: _integral(val) for key, val in out.items()})

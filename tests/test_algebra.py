@@ -354,6 +354,15 @@ class TestMetricity:
         assert hash(Metric.euclidean(4)) == hash(Metric.diag([1, 1, 1, 1]))
 
 
+    @pytest.mark.parametrize("metric, text", [
+        (Metric.diag([1, -1]), "Metric.diag([1, -1])"),
+        (Metric([[0, 1], [1, 0]]), "Metric(((0, 1), (1, 0)))"),
+    ], ids=["diagonal", "dense"])
+    def test_repr_evaluates_to_an_equal_metric(self, metric, text):
+        assert repr(metric) == text
+        assert eval(text, {"Metric": Metric}) == metric
+
+
 class TestFullAntisymLowered:
     def test_a4(self, a4):
         assert check_full_antisym_lowered(a4).passed

@@ -31,6 +31,8 @@ def read_json(path):
         return json.load(fh)
 
 
+IDENTITY_METRIC = {"matrix": [[str(int(i == j)) for j in range(4)] for i in range(4)]}
+
 RADICAL_REPORT = {
     "name": "nondegenerate", "passed": False, "witness": ["1", "0", "0", "0"],
     "residual": "0", "detail": "radical vector coordinates",
@@ -145,6 +147,19 @@ class TestGenCheckPipeline:
                     "--metric", "lorentz:2,2"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("obj, spec", [
+        ({"diag": [-1, 1, 1, 1]}, "lorentz:1,3"),
+        (IDENTITY_METRIC, "euclid"),
+    ], ids=["diag", "matrix"])
+    def test_metric_file_reports_as_its_spec(self, a4_file, tmp_path, capsys, obj, spec):
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        outcomes = []
+        for metric in (str(path), spec):
+            code = run(["check", str(a4_file), "--suite", "metricity,fullanti", "--metric", metric])
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+
     @pytest.mark.parametrize("spec", ["lorentz:-1,5", "lorentz:5,-1"])
     def test_negative_lorentz_count_is_a_bad_spec(self, a4_file, capsys, spec):
         # the counts sum to the dimension, but a negative count is no signature
@@ -164,6 +179,17 @@ class TestCompose:
         assert load(out).f == builtin("cs-so4").f
         assert run(["check", str(out), "--suite", "triple,lple"]) == 0
         capsys.readouterr()
+
+    def test_matrix_metric_file_composes_as_euclid(self, a4_file, tmp_path, capsys):
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(IDENTITY_METRIC), encoding="utf-8")
+        written = []
+        for metric in (str(path), "euclid"):
+            out = tmp_path / "half.json"
+            assert run(["compose", "--l1", str(a4_file), "--l2", str(a4_file),
+                        "--prefactor", "1/2", "--metric", metric, "-o", str(out)]) == 0
+            written.append((out.read_bytes(), *capsys.readouterr()))
+        assert written[0] == written[1]
 
     def test_forced_output_is_reported_unverified(self, a4_file, tmp_path, capsys):
         out = tmp_path / "forced.json"
@@ -359,6 +385,11 @@ class TestOtherVerbs:
     def test_young_dim(self, capsys):
         assert run(["young", "dim", "--l", "3", "--r", "1", "--d", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["gl_dim"] == 20
+
+    def test_young_dim_long_column_beyond_d(self, capsys):
+        # d < l - r: the long column does not fit, so no digit bound is needed
+        assert run(["young", "dim", "--l", "5", "--r", "1", "--d", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["gl_dim"] == 0
 
     def test_young_classify(self, a4_file, capsys):
         assert run(["young", "classify", str(a4_file)]) == 0

@@ -39,6 +39,7 @@ from naryalg import (
     zero_algebra,
 )
 
+from naryalg import construct
 from naryalg.tensor import OrbitTensor
 
 from change_of_basis import block_skew_algebras, change_basis, metrics, perturbed_a4, shears
@@ -271,6 +272,12 @@ class TestTripleFromLie:
         gens = so_rotation_generators(4)
         out = triple_from_lie(gens, epsilon_pair_form(4), Metric.euclidean(4))
         assert out.f == a4.f
+
+    @pytest.mark.parametrize("d", [5, 13])
+    def test_epsilon_form_off_d4_is_empty_without_the_symbol(self, d, monkeypatch):
+        # levi_civita(13) has 13! entries, over the size guard
+        monkeypatch.setattr(construct, "levi_civita", lambda d: pytest.fail("built eps"))
+        assert epsilon_pair_form(d) == {}
 
     def test_zero_form_gives_abelian(self):
         gens = so_rotation_generators(4)

@@ -72,6 +72,16 @@ def test_algebra_file_matches_json_dump(name, tmp_path):
     assert_same_file(algebra.save, algebra.to_json_dict, algebras()[name], tmp_path)
 
 
+def test_algebra_without_metric_round_trips(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    algebra.save(algebra.NaryAlgebra("A4, no metric", 4, 3, builtin("A4").f), first)
+    loaded = algebra.load(first)
+    assert loaded.metric is None
+    algebra.save(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert "metric" not in json.loads(first.read_text(encoding="utf-8"))
+
+
 def test_trace_form_files_match_json_dump(tmp_path):
     r6 = rescale(builtin("A6"), (1, 2, 3, 4, 5, 6))
     s6 = rescale(builtin("A6"), (3, 1, 6, 2, 5, 4))

@@ -234,10 +234,11 @@ def test_entry_text_only_from_the_entry_writer(module):
 
 
 # The adjoint maps, the Lie closure and the trace-form rank tests hand the
-# elimination {column: value} maps of the nonzeros they hold; a dense vector
-# built by list repetition ([x] * n) would bring back a fill the size of the
-# column count.
-SPARSE_MODULES = ["algebra.py", "forms.py", "adjoint.py"]
+# elimination {column: value} maps of the nonzeros they hold, and the tensor
+# kernels move key slots with itemgetters; a dense vector built by list
+# repetition ([x] * n) would bring back a fill the size of the column count
+# or of the rank.
+SPARSE_MODULES = ["algebra.py", "forms.py", "adjoint.py", "tensor.py"]
 
 
 def list_repetitions(source: str) -> list:
@@ -257,3 +258,38 @@ def test_list_repetition_checker_sees_either_side_not_tuples_or_comprehensions()
 def test_no_vector_by_list_repetition(module):
     source = (Path(naryalg.__file__).parent / module).read_text()
     assert list_repetitions(source) == []
+
+
+# The tensor kernels read and write a key's slots through itemgetters built
+# once per call (tensor._slot_getters) or by slicing; rebuilding each key as
+# a list inside the loop over the entries is the per-key cost they replaced.
+def list_calls_in_loops(source: str) -> list:
+    """Lines of each list(...) call in the body of a for or while loop or in
+    a comprehension; a for loop's iterable is read once and is not a body."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            scope = node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            scope = [node]
+        else:
+            continue
+        found.update(call.lineno for part in scope for call in ast.walk(part)
+                     if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                     and call.func.id == "list")
+    return sorted(found)
+
+
+def test_loop_list_checker_sees_bodies_and_comprehensions_not_iterables():
+    source = ("for key in data:\n    new = list(key)\n"
+              "rows = [list(k) for k in data]\n"
+              "while todo:\n    if x:\n        y = list(todo.pop())\n"
+              "for k in list(data):\n    pass\n"
+              "dest = list(range(1, n + 1))\n"
+              "def f(key):\n    return list(key)\n")
+    assert list_calls_in_loops(source) == [2, 3, 6]
+
+
+def test_tensor_rebuilds_no_key_as_a_list_in_a_loop():
+    source = (Path(naryalg.__file__).parent / "tensor.py").read_text()
+    assert list_calls_in_loops(source) == []

@@ -28,7 +28,8 @@ from naryalg.tensor import (
 )
 from naryalg.algebra import Metric
 
-from helpers import expansion
+from change_of_basis import block_skew_algebras, metrics
+from helpers import expansion, reference_permute, reference_raise_lower, reference_symmetrize
 
 
 def inversion_parity(seq):
@@ -418,3 +419,93 @@ class TestIntegralValues:
         ):
             assert t.data == expected
             assert all(type(v) is int for v in t.data.values())
+
+
+def assert_same_storage(t, expect: dict):
+    """t.data has expect's keys in expect's storage order, and its values
+    with their types (int against Fraction)."""
+    assert list(t.data) == list(expect)
+    assert [(v, type(v)) for v in t.data.values()] == [(v, type(v)) for v in expect.values()]
+
+
+@st.composite
+def tensors_and_slots(draw):
+    """A tensor with small d (so its keys repeat indices) and two or more of
+    its slots: a contiguous run or scattered slots in any order."""
+    rank, d = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    keys = st.tuples(*[st.integers(1, d)] * rank)
+    t = RationalTensor((d,) * rank, draw(st.dictionaries(keys, exact_values,
+                                                         min_size=1, max_size=12)))
+    if draw(st.booleans()):
+        lo = draw(st.integers(1, rank - 1))
+        slots = tuple(range(lo, draw(st.integers(lo + 1, rank)) + 1))
+    else:
+        slots = tuple(draw(st.permutations(range(1, rank + 1)))[:draw(st.integers(2, rank))])
+    return t, slots
+
+
+class TestKernelsAgainstListReferences:
+    """The itemgetter kernels give the data of the list-based ones they
+    replaced, key order included: _mismatch_report breaks ties by it."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(tensors_and_slots(), st.booleans())
+    def test_symmetrizers(self, case, normalized):
+        t, slots = case
+        assert_same_storage(antisymmetrize(t, slots, normalized),
+                            reference_symmetrize(t, slots, normalized, True))
+        assert_same_storage(symmetrize(t, slots, normalized),
+                            reference_symmetrize(t, slots, normalized, False))
+
+    def test_symmetrizers_on_repeated_indices(self):
+        t = RationalTensor((3,) * 4, {(1, 1, 2, 3): 2, (2, 1, 1, 3): Fraction(-1, 2),
+                                      (3, 2, 3, 1): 1, (1, 2, 1, 2): Fraction(4, 3)})
+        for slots in ((1, 2, 3), (4, 1, 3), (2, 4)):
+            for normalized in (False, True):
+                assert_same_storage(antisymmetrize(t, slots, normalized),
+                                    reference_symmetrize(t, slots, normalized, True))
+                assert_same_storage(symmetrize(t, slots, normalized),
+                                    reference_symmetrize(t, slots, normalized, False))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tensors_and_slots(), st.data())
+    def test_permute(self, case, data):
+        t, _ = case
+        dest = tuple(data.draw(st.permutations(range(1, t.rank + 1))))
+        assert_same_storage(permute(t, dest), reference_permute(t, dest))
+        swap = SlotPermutation((1, t.rank), (t.rank, 1))
+        assert_same_storage(permute(t, swap), reference_permute(t, swap.destination_map(t.rank)))
+
+    def test_permute_rank_one(self):
+        line = RationalTensor((3,), {(2,): Fraction(1, 2), (1,): 4})
+        assert_same_storage(permute(line, (1,)), reference_permute(line, (1,)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(2, 3), st.data())
+    def test_raise_lower(self, rank, d, data):
+        keys = st.tuples(*[st.integers(1, d)] * rank)
+        t = RationalTensor((d,) * rank, data.draw(st.dictionaries(keys, exact_values, max_size=10)))
+        slot = data.draw(st.integers(1, rank))
+        for metric in metrics(d):
+            for direction in ("lower", "raise"):
+                assert_same_storage(raise_lower(t, slot, metric, direction),
+                                    reference_raise_lower(t, slot, metric, direction))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 4]).flatmap(block_skew_algebras))
+    def test_block_skew_algebras(self, algebras):
+        for L in algebras:
+            f, r = L.f, L.n + 1
+            for slots in (range(1, L.n + 1), range(2, r + 1), (r, 1, 2)):
+                slots = tuple(slots)
+                for normalized in (False, True):
+                    assert_same_storage(antisymmetrize(f, slots, normalized),
+                                        reference_symmetrize(f, slots, normalized, True))
+                    assert_same_storage(symmetrize(f, slots, normalized),
+                                        reference_symmetrize(f, slots, normalized, False))
+            dest = (*range(2, r + 1), 1)
+            assert_same_storage(permute(f, dest), reference_permute(f, dest))
+            for metric in metrics(L.d):
+                for direction in ("lower", "raise"):
+                    assert_same_storage(raise_lower(f, r, metric, direction),
+                                        reference_raise_lower(f, r, metric, direction))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from naryalg import (
     BudgetExceededError,
+    ConstructionInput,
     NaryAlgebra,
     RationalTensor,
     SlotPermutation,
@@ -16,6 +17,7 @@ from naryalg import (
     YoungShape,
     add,
     antisymmetrize,
+    associated_leibniz,
     builtin,
     character,
     classify_bracket,
@@ -29,7 +31,7 @@ from naryalg import (
     primitive_project,
     scale,
 )
-from naryalg import linalg, young
+from naryalg import algebra, linalg, young
 from naryalg.algebra import _impure_component
 
 from helpers import partitions
@@ -272,6 +274,26 @@ def block_skew_cases(draw, l, d):
 
 
 class TestLieLple:
+    @pytest.fixture(autouse=True)
+    def no_antisymmetrized_tensor(self, monkeypatch):
+        # purity asks only the gather whether an antisymmetrization is zero
+        def refuse(*args, **kwargs):
+            raise AssertionError("l-ple membership built an antisymmetrized tensor")
+
+        monkeypatch.setattr(algebra, "antisymmetrize", refuse)
+
+    @pytest.mark.parametrize("make", [
+        lambda: builtin("cs-so4"),
+        lambda: corollary_self(builtin("A6")),
+        lambda: associated_leibniz(ConstructionInput(*[builtin("A7")] * 2, builtin("A7").metric)),
+    ], ids=["cs-so4", "corollary_self(A6)", "A7xA7"])
+    def test_pure_bracket_costs_one_gather(self, make, monkeypatch):
+        gathers = []
+        real = algebra._gather
+        monkeypatch.setattr(algebra, "_gather", lambda *args: gathers.append(args) or real(*args))
+        assert is_lie_lple(make()).passed
+        assert len(gathers) == 1
+
     def test_cs_so4_passes_and_matches_triple(self, cs):
         assert is_lie_lple(cs).passed
         assert is_lie_lple(cs).passed == is_lie_triple(cs).passed
