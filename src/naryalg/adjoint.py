@@ -9,21 +9,19 @@ adjoints gives the Lie algebra associated with the bracket.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import linalg
 from .algebra import NaryAlgebra, _flat, _matrix_cols
-from .tensor import ShapeError, _acc, guard
+from .tensor import ShapeError, _acc, _Frozen, _Record, guard
 
 
-@dataclass(frozen=True)
-class FundamentalObject:
+class FundamentalObject(_Frozen):
     """(n-1)-tuple of coordinate vectors over Q^d."""
 
-    components: tuple
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(tuple(v) for v in self.components))
+    def __init__(self, components: tuple):
+        self.components = tuple(tuple(v) for v in components)
 
 
 def basis_vector(d: int, i: int):
@@ -120,11 +118,11 @@ def ad_of_sum(L: NaryAlgebra, terms):
     return mat
 
 
-@dataclass
-class LieClosure:
-    basis: list
-    dim: int
-    from_generators: int
+class LieClosure(_Record):
+    __slots__ = ("basis", "dim", "from_generators")
+
+    def __init__(self, basis: list, dim: int, from_generators: int):
+        self.basis, self.dim, self.from_generators = basis, dim, from_generators
 
 
 def _dense(mat: dict, d: int) -> list:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import itemgetter, lt
@@ -22,6 +21,7 @@ from .tensor import (
     _acc,
     _gather,
     _integral,
+    _Record,
     _slot_getters,
     antisymmetrize,
     format_rational,
@@ -147,17 +147,15 @@ class Coordinates(tuple):
     """A witness that is a vector's coordinates, not an index tuple."""
 
 
-@dataclass
-class CheckReport:
-    name: str
-    passed: bool
-    witness: tuple | None = None
-    residual: object = None
-    detail: str = ""
+class CheckReport(_Record):
+    __slots__ = ("name", "passed", "witness", "residual", "detail")
 
-    def __post_init__(self):
-        if not self.passed and self.witness is None:
+    def __init__(self, name: str, passed: bool, witness: tuple | None = None,
+                 residual: object = None, detail: str = ""):
+        if not passed and witness is None:
             raise ValueError("failing report must carry a witness")
+        self.name, self.passed, self.witness, self.residual, self.detail = (
+            name, passed, witness, residual, detail)
 
     def as_dict(self) -> dict:
         out = {"name": self.name, "passed": self.passed}
@@ -232,15 +230,29 @@ class NaryAlgebra:
         """The skew-block descriptor: maximal runs of input slots on which f
         is skew, as 1-based (first, last) pairs covering 1..n in order.
 
-        Found once, by one scan per adjacent pair of input slots.
+        Found once, by one scan that shrinks as it goes.  Slots k, k+1 are
+        decided on part, f at the keys increasing on every run found so far,
+        the run holding k cut to end at k-1.  Swapping k and k+1 maps part to
+        itself, and any other key of f is +- a key of part under a
+        permutation of slots f is already skew on, which commutes with the
+        swap; so the test on part decides the swap for all of f.  Once k+1
+        is decided, part keeps its keys with key[k-1] < key[k] when k-1 is
+        in k's run; at the end it is orbit_part(1, n-1), which is kept.
         """
         if "skew_runs" not in self._cache:
-            runs = [[1, 1]]
-            for k in range(self.n - 1):
-                if _skew_under_swap(self.f.data, k):
-                    runs[-1][1] = k + 2
+            data = part = self.f.data
+            runs, cut = [[1, 1]], ()
+            for i in range(self.n - 1):     # 0-based positions of slots i+1, i+2
+                run = runs[-1]
+                if _swap_skew(part, data, i, self.n + 1):
+                    run[1] = i + 2
                 else:
-                    runs.append([k + 2, k + 2])
+                    runs.append([i + 2, i + 2])
+                if run[0] < i + 1:
+                    part = {key: val for key, val in part.items() if key[i - 1] < key[i]}
+                    cut += (i - 1,)
+            if cut:
+                self._cache[("orbit_part", cut)] = part
             self._cache["skew_runs"] = tuple(map(tuple, runs))
         return self._cache["skew_runs"]
 
@@ -257,15 +269,18 @@ class NaryAlgebra:
         f at a permuted key is +-f at the block-sorted one, so the
         block-sorted key is the lexicographically least of its orbit.
         """
-        pairs = [s - 1 for lo, hi in self.runs_within(first, last) for s in range(lo, hi)]
+        pairs = tuple(s - 1 for lo, hi in self.runs_within(first, last) for s in range(lo, hi))
         if not pairs:
             return self.f.data
-        cached = ("orbit_part", first, last)
+        cached = ("orbit_part", pairs)
         if cached not in self._cache:
+            # a part kept on fewer pairs holds every key of this one: skew_runs()
+            # keeps the one on slots 1..n-1, and that on 1..n is cut from it
+            source = self._cache.get(("orbit_part", pairs[:-1]), self.f.data)
             lo, hi = itemgetter(*pairs), itemgetter(*[i + 1 for i in pairs])
             keep = ((lambda t: lo(t) < hi(t)) if len(pairs) == 1
                     else (lambda t: all(map(lt, lo(t), hi(t)))))
-            self._cache[cached] = {key: val for key, val in self.f.data.items() if keep(key)}
+            self._cache[cached] = {key: val for key, val in source.items() if keep(key)}
         return self._cache[cached]
 
     def ad_span(self) -> list:
@@ -302,22 +317,24 @@ def _flat(mat: dict, d: int) -> dict:
     return {(i - 1) * d + j - 1: val for i, row in mat.items() for j, val in row.items()}
 
 
-def _skew_under_swap(data: dict, k: int) -> bool:
-    """Whether data[key] == -data[key with entries k, k+1 swapped] everywhere.
+def _swap_skew(part: dict, data: dict, i: int, rank: int) -> bool:
+    """Whether data[key] == -data[key with entries i, i+1 swapped] for every
+    key of part, entries of data that the swap maps onto part.
 
-    Looks up only the keys with key[k] < key[k+1]; each finds its own
-    partner, so equal counts on both sides make the pairing a bijection.
+    Each key with key[i] < key[i+1] looks up its partner in data, a repeated
+    index fails, and equal counts on both sides make the pairing a bijection.
     """
+    swap = itemgetter(*range(i), i + 1, i, *range(i + 2, rank))
     ahead = 0
-    for key, val in data.items():
-        a, b = key[k], key[k + 1]
+    for key, val in part.items():
+        a, b = key[i], key[i + 1]
         if a < b:
-            if data.get(key[:k] + (b, a) + key[k + 2:]) != -val:
+            if data.get(swap(key)) != -val:
                 return False
             ahead += 1
         elif a == b:
             return False
-    return 2 * ahead == len(data)
+    return 2 * ahead == len(part)
 
 
 def _zero_report(name: str, data: dict, detail: str = "") -> CheckReport:

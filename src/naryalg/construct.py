@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -39,6 +38,7 @@ from .tensor import (
     RationalTensor,
     ShapeError,
     _acc,
+    _Record,
     guard,
     levi_civita,
     raise_lower,
@@ -58,18 +58,16 @@ class UnknownFixtureError(ValueError):
     pass
 
 
-@dataclass
-class ConstructionInput:
-    l1: NaryAlgebra
-    l2: NaryAlgebra
-    metric: Metric
-    prefactor: Fraction = Fraction(1)
+class ConstructionInput(_Record):
+    __slots__ = ("l1", "l2", "metric", "prefactor")
 
-    def __post_init__(self):
-        if self.l1.d != self.l2.d:
-            raise ShapeError(f"dimension mismatch {self.l1.d} != {self.l2.d}")
-        if self.metric.d != self.l1.d:
+    def __init__(self, l1: NaryAlgebra, l2: NaryAlgebra, metric: Metric,
+                 prefactor: Fraction = Fraction(1)):
+        if l1.d != l2.d:
+            raise ShapeError(f"dimension mismatch {l1.d} != {l2.d}")
+        if metric.d != l1.d:
             raise ShapeError("metric dimension mismatch")
+        self.l1, self.l2, self.metric, self.prefactor = l1, l2, metric, prefactor
 
 
 def schouten_residual(l2: NaryAlgebra) -> RationalTensor:

@@ -14,8 +14,6 @@ them.  The compose bracket in construct comes from the same contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .algebra import (
     _FORM_CLOSE,
@@ -29,11 +27,18 @@ from .algebra import (
     _read_entry_file,
     _write_file,
 )
-from .tensor import OrbitTensor, RationalTensor, ShapeError, contract, format_rational, guard
+from .tensor import (
+    OrbitTensor,
+    RationalTensor,
+    ShapeError,
+    _Record,
+    contract,
+    format_rational,
+    guard,
+)
 
 
-@dataclass
-class TraceForm:
+class TraceForm(_Record):
     """Tr(ad1_X ad2_Y) on basis tuples; first n-1 slots from L1, last m-1 from L2.
 
     tensor is the form kept once per orbit: tensor.runs are X's runs, then
@@ -41,9 +46,10 @@ class TraceForm:
     orbits are all of its entries.
     """
 
-    arity1: int
-    arity2: int
-    tensor: OrbitTensor
+    __slots__ = ("arity1", "arity2", "tensor")
+
+    def __init__(self, arity1: int, arity2: int, tensor: OrbitTensor):
+        self.arity1, self.arity2, self.tensor = arity1, arity2, tensor
 
     @property
     def d(self) -> int:

@@ -18,7 +18,6 @@ import math
 import os
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -31,6 +30,34 @@ class SizeGuardError(Exception):
 
 class ShapeError(ValueError):
     """Incompatible shapes, slot numbers or index ranges."""
+
+
+class _Record:
+    """A record whose fields are its class's __slots__, set by its __init__:
+    compared and shown field by field, like a dataclass, and unhashable."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A _Record hashed by its fields; nothing reassigns them after __init__."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def size_guard_cap() -> int:
@@ -157,7 +184,8 @@ class RationalTensor:
         """Every entry as the rows (head, sign, tails) of _rows, in sorted key
         order: one row per first index."""
         data = self.data
-        return _rows(((key, data[key]) for key in sorted(data)), (1,) * self.rank)
+        for head, keys in itertools.groupby(sorted(data), itemgetter(slice(1))):
+            yield head, 1, [(key[1:], data[key]) for key in keys]
 
 
 class OrbitTensor(RationalTensor):
@@ -234,18 +262,17 @@ def _expand(items: list, lengths: tuple) -> list:
             for head, sign, tails in _rows(items, lengths) for tail, val in tails]
 
 
-@dataclass(frozen=True)
-class SlotPermutation:
+class SlotPermutation(_Frozen):
     """A bijection on a subset of slots: slot slots[i] moves to images[i]."""
 
-    slots: tuple
-    images: tuple
+    __slots__ = ("slots", "images")
 
-    def __post_init__(self):
-        if sorted(self.slots) != sorted(self.images):
+    def __init__(self, slots: tuple, images: tuple):
+        if sorted(slots) != sorted(images):
             raise ShapeError("slot permutation is not a bijection on its slots")
-        if len(set(self.slots)) != len(self.slots):
+        if len(set(slots)) != len(slots):
             raise ShapeError("duplicate slots in permutation")
+        self.slots, self.images = slots, images
 
     def destination_map(self, rank: int) -> tuple:
         dest = list(range(1, rank + 1))
@@ -313,8 +340,6 @@ def permute(t: RationalTensor, p) -> RationalTensor:
         dest = tuple(int(x) for x in p)
         if sorted(dest) != list(range(1, t.rank + 1)):
             raise ShapeError(f"{dest} is not a permutation of 1..{t.rank}")
-    if t.rank < 2:
-        return RationalTensor._trusted(t.shape, dict(t.data))
     # slot j of the result is the slot of t whose destination is j
     pick, _ = _slot_getters(t.rank, sorted(range(1, t.rank + 1), key=lambda s: dest[s - 1]))
     return RationalTensor._trusted(pick(t.shape), {pick(key): val for key, val in t.data.items()})
@@ -355,24 +380,25 @@ def contract(t1, slots1, t2, slots2) -> RationalTensor:
                 f"slot {s1} (dim {t1.shape[s1 - 1]}) cannot contract slot "
                 f"{s2} (dim {t2.shape[s2 - 1]})"
             )
-    free1 = [s for s in range(1, t1.rank + 1) if s not in slots1]
-    free2 = [s for s in range(1, t2.rank + 1) if s not in slots2]
-    shape = tuple(t1.shape[s - 1] for s in free1) + tuple(t2.shape[s - 1] for s in free2)
+    others1 = [s for s in range(1, t1.rank + 1) if s not in slots1]
+    others2 = [s for s in range(1, t2.rank + 1) if s not in slots2]
+    (bound1, _), (free1, _) = _slot_getters(t1.rank, slots1), _slot_getters(t1.rank, others1)
+    (bound2, _), (free2, _) = _slot_getters(t2.rank, slots2), _slot_getters(t2.rank, others2)
+    shape = free1(t1.shape) + free2(t2.shape)
 
     den1, data1 = _scaled_to_ints(t1.data)
     den2, data2 = _scaled_to_ints(t2.data)
     groups = {}
     for key, val in data2.items():
-        bound = tuple(key[s - 1] for s in slots2)
-        groups.setdefault(bound, []).append((tuple(key[s - 1] for s in free2), val))
+        groups.setdefault(bound2(key), []).append((free2(key), val))
 
     rows = {}
     work = 0
     for key, val in data1.items():
-        matches = groups.get(tuple(key[s - 1] for s in slots1))
+        matches = groups.get(bound1(key))
         if matches:
             work += len(matches)
-            rows.setdefault(tuple(key[s - 1] for s in free1), []).append((val, matches))
+            rows.setdefault(free1(key), []).append((val, matches))
     guard(work, "contract")
     den = den1 * den2
     out = {}
@@ -420,11 +446,19 @@ def symmetrize(t, slots, normalized: bool = False) -> RationalTensor:
 
 
 def _slot_getters(rank: int, slots) -> tuple:
-    """The itemgetters (pick, place) of two or more 1-based slots of a
+    """The itemgetters (pick, place) of any number of 1-based slots of a
     rank-`rank` key: pick(key) is the tuple of key's indices at slots, and
     place(key + sub) is key with the tuple sub written into slots, in order."""
     at = {s - 1: rank + i for i, s in enumerate(slots)}
-    return itemgetter(*(s - 1 for s in slots)), itemgetter(*(at.get(i, i) for i in range(rank)))
+    return _tuple_getter([s - 1 for s in slots]), _tuple_getter([at.get(i, i) for i in range(rank)])
+
+
+def _tuple_getter(positions: list):
+    """An itemgetter of the 0-based positions that returns a tuple, also for
+    one position or none."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
 def _gather(t, getters: tuple, signed: bool) -> dict:
@@ -449,12 +483,12 @@ def _symmetrize(t, slots, normalized: bool, signed: bool, what: str) -> Rational
     # Gather each orbit onto its sorted representative, then expand it again.
     slots = _validate_slots(t, slots)
     k = len(slots)
-    dims = {t.shape[s - 1] for s in slots}
+    pick, place = getters = _slot_getters(t.rank, slots)
+    dims = set(pick(t.shape))
     if len(dims) > 1:
         raise ShapeError(f"slots {slots} have mixed dimensions {sorted(dims)}")
     if k <= 1:
         return RationalTensor._trusted(t.shape, dict(t.data))
-    pick, place = getters = _slot_getters(t.rank, slots)
     reps = _gather(t, getters, signed)
     guard(len(reps) * math.factorial(k), f"{what} expansion")
     out = {}

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -24,6 +23,7 @@ from .tensor import (
     ShapeError,
     SizeGuardError,
     _acc,
+    _Frozen,
     antisymmetrize,
     guard,
     scale,
@@ -37,41 +37,36 @@ class BudgetExceededError(SizeGuardError):
     """The permutation sum is out of the default compute budget."""
 
 
-@dataclass(frozen=True)
-class YoungShape:
+class YoungShape(_Frozen):
     """Two columns of lengths l-r and r, i.e. the partition (2^r, 1^(l-2r))."""
 
-    l: int
-    r: int
+    __slots__ = ("l", "r")
 
-    def __post_init__(self):
-        if self.l < 1 or not 0 <= self.r <= self.l // 2:
-            raise ShapeError(f"bad two-column shape l={self.l}, r={self.r}")
+    def __init__(self, l: int, r: int):
+        if l < 1 or not 0 <= r <= l // 2:
+            raise ShapeError(f"bad two-column shape l={l}, r={r}")
+        self.l, self.r = l, r
 
     def partition(self) -> tuple:
         return (2,) * self.r + (1,) * (self.l - 2 * self.r)
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(_Frozen):
     """Filling of a two-column shape with box positions 1..l.
 
     column1/column2 list the positions (within the projected slot list) put
     in each column; row i pairs column1[i] with column2[i] for i < r.
     """
 
-    shape: YoungShape
-    column1: tuple
-    column2: tuple
+    __slots__ = ("shape", "column1", "column2")
 
-    def __post_init__(self):
-        c1, c2 = tuple(self.column1), tuple(self.column2)
-        object.__setattr__(self, "column1", c1)
-        object.__setattr__(self, "column2", c2)
-        if len(c1) != self.shape.l - self.shape.r or len(c2) != self.shape.r:
+    def __init__(self, shape: YoungShape, column1: tuple, column2: tuple):
+        c1, c2 = tuple(column1), tuple(column2)
+        if len(c1) != shape.l - shape.r or len(c2) != shape.r:
             raise ShapeError("column lengths do not match the shape")
-        if sorted(c1 + c2) != list(range(1, self.shape.l + 1)):
+        if sorted(c1 + c2) != list(range(1, shape.l + 1)):
             raise ShapeError("filling is not a bijection onto 1..l")
+        self.shape, self.column1, self.column2 = shape, c1, c2
 
     @classmethod
     def canonical(cls, shape: YoungShape) -> "Tableau":

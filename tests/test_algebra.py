@@ -44,7 +44,7 @@ from naryalg.algebra import (
     from_json_dict,
     to_json_dict,
 )
-from naryalg.tensor import _integral
+from naryalg.tensor import _integral, add, antisymmetrize
 
 from change_of_basis import (
     ORBIT_FIXTURES,
@@ -249,6 +249,146 @@ class TestOrbitRoutes:
         L = perturbed_a4()
         assert L.orbit_part(1, 3) is L.f.data
         assert list(L._cache) == ["skew_runs"]
+
+
+def pairwise_skew_runs(data: dict, n: int) -> tuple:
+    """The skew runs by one pass over all of data per adjacent pair of input
+    slots, each key with a < b looking up its partner: the scan skew_runs()
+    replaced, kept as its reference."""
+    def skew(k):
+        ahead = 0
+        for key, val in data.items():
+            a, b = key[k], key[k + 1]
+            if a < b:
+                if data.get(key[:k] + (b, a) + key[k + 2:]) != -val:
+                    return False
+                ahead += 1
+            elif a == b:
+                return False
+        return 2 * ahead == len(data)
+
+    runs = [[1, 1]]
+    for k in range(n - 1):
+        if skew(k):
+            runs[-1][1] = k + 2
+        else:
+            runs.append([k + 2, k + 2])
+    return tuple(map(tuple, runs))
+
+
+def filtered_part(data: dict, runs: tuple, first: int, last: int) -> dict:
+    """data at the keys increasing inside each run cut to first..last, by one
+    filter over all of data: the orbit_part that read no kept part."""
+    pairs = [s - 1 for lo, hi in runs for s in range(lo, hi) if first <= s and s + 1 <= last]
+    if not pairs:
+        return data
+    return {key: val for key, val in data.items() if all(key[i] < key[i + 1] for i in pairs)}
+
+
+def assert_scan_is_pairwise(L):
+    """skew_runs() and every orbit_part, in ascending and in descending order
+    of the slot ranges, against the pairwise scan and the plain filter."""
+    ranges = list(itertools.combinations_with_replacement(range(1, L.n + 1), 2))
+    runs = pairwise_skew_runs(L.f.data, L.n)
+    for order in (ranges, ranges[::-1]):
+        fresh = NaryAlgebra(L.name, L.d, L.n, L.f, L.metric)
+        for first, last in order:
+            part, want = fresh.orbit_part(first, last), filtered_part(L.f.data, runs, first, last)
+            assert list(part.items()) == list(want.items()), (L.name, first, last)
+            assert (part is L.f.data) == (want is L.f.data)
+        assert fresh.skew_runs() == runs
+
+
+class CountingDict(dict):
+    """A dict that counts its get and items calls."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.gets = self.scans = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+
+def counted(L) -> NaryAlgebra:
+    return NaryAlgebra(L.name, L.d, L.n, RationalTensor._trusted(L.f.shape, CountingDict(L.f.data)))
+
+
+def skew_in(d: int, n: int, runs, data: dict) -> NaryAlgebra:
+    """The algebra on data antisymmetrized over each of runs in turn."""
+    t = RationalTensor((d,) * (n + 1), data)
+    for run in runs:
+        t = antisymmetrize(t, run)
+    return NaryAlgebra("hand", d, n, t)
+
+
+HAND_CASES = {
+    # slots 3, 4 repeat an index in keys the scan keeps for the pair
+    "repeated": (lambda: skew_in(3, 4, [(1, 2, 3)], {(1, 2, 3, 3, 1): 1}), ((1, 3), (4, 4))),
+    # (1, 2) has no partner (2, 1)
+    "missing": (lambda: skew_in(2, 2, [], {(1, 2, 1): 1}), ((1, 1), (2, 2))),
+    # every key with a < b finds its partner; only the counts differ
+    "unpaired n=2": (lambda: skew_in(2, 2, [], {(1, 2, 1): 1, (2, 1, 1): -1, (2, 1, 2): 1}),
+                     ((1, 1), (2, 2))),
+    "unpaired n=4": (lambda: NaryAlgebra("hand", 5, 4, add(
+        builtin("A5").f, skew_in(5, 4, [(1, 2, 3)], {(2, 3, 4, 1, 1): 1}).f)), ((1, 3), (4, 4))),
+    "re-formed": (lambda: skew_in(4, 4, [(1, 2), (3, 4)], {(1, 2, 1, 3, 1): 1, (1, 3, 2, 4, 2): 2}),
+                  ((1, 2), (3, 4))),
+    "arity 2": (lambda: builtin("A3"), ((1, 2),)),
+    "empty": (lambda: zero_algebra(4, 3), ((1, 3),)),
+}
+
+
+class TestShrinkingScan:
+    """skew_runs() decides each pair of slots on the shrinking part, and
+    orbit_part reads the part it leaves: the same runs and parts, in f's
+    order, as the pairwise scan and the plain filter."""
+
+    @pytest.mark.parametrize("name", ["A4", "A5", "A6", "A7", "A8", "cs-so4", "a4-sum-a4",
+                                      "seven-leibniz", "zero(4,3)"])
+    def test_builtins(self, name):
+        assert_scan_is_pairwise(builtin(name))
+
+    def test_corollary_self(self):
+        assert_scan_is_pairwise(corollary_self(builtin("A5")))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 4]).flatmap(block_skew_algebras))
+    def test_block_skew_algebras_and_their_shears(self, algebras):
+        for L in algebras:
+            assert_scan_is_pairwise(L)
+            for P in shears(L.d):
+                assert_scan_is_pairwise(change_basis(L, P))
+
+    @pytest.mark.parametrize("name", HAND_CASES)
+    def test_hand_cases(self, name):
+        make, runs = HAND_CASES[name]
+        L = make()
+        assert L.skew_runs() == runs
+        assert_scan_is_pairwise(L)
+
+    @pytest.mark.parametrize("name, lookups, pairwise", [("A7", 6_825, 12_600),
+                                                         ("A8", 54_768, 120_960)])
+    def test_partner_lookups(self, name, lookups, pairwise):
+        L = counted(builtin(name))
+        L.skew_runs()
+        assert L.f.data.gets == lookups
+        data = CountingDict(L.f.data)
+        pairwise_skew_runs(data, L.n)
+        assert data.gets == pairwise
+
+    def test_parts_on_slots_1_to_n_read_the_kept_part(self, a8, seven_leibniz, cs):
+        for L in (counted(a8), counted(seven_leibniz), counted(cs)):
+            L.skew_runs()
+            scans = L.f.data.scans
+            L.orbit_part(1, L.n - 1)
+            L.orbit_part(1, L.n)
+            assert L.f.data.scans == scans
 
 
 class TestBlockRoute:

@@ -293,3 +293,64 @@ def test_loop_list_checker_sees_bodies_and_comprehensions_not_iterables():
 def test_tensor_rebuilds_no_key_as_a_list_in_a_loop():
     source = (Path(naryalg.__file__).parent / "tensor.py").read_text()
     assert list_calls_in_loops(source) == []
+
+
+# The package's record classes are plain classes: dataclasses would bring in
+# inspect, ast, dis and tokenize on every request.
+def imported_modules(source: str) -> set:
+    """Top-level names of every module any import statement names."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_import_checker_sees_function_bodies_and_skips_relative_imports():
+    source = ("import os.path\nfrom . import tensor\n"
+              "def f():\n    from dataclasses import dataclass\n")
+    assert imported_modules(source) == {"os", "dataclasses"}
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_imports_dataclasses(module):
+    source = (Path(naryalg.__file__).parent / module).read_text()
+    assert "dataclasses" not in imported_modules(source)
+
+
+# tensor.py picks a key's slots with the itemgetters of _slot_getters only;
+# a comprehension indexing by arithmetic on its own loop variable
+# (key[s - 1] for s in slots) is the per-key pick they replaced.
+def own_variable_picks(source: str) -> list:
+    """Lines of each comprehension whose body indexes something with
+    arithmetic on the comprehension's own loop variables; a plain lookup by
+    a loop variable (data[key]) is not a pick."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            bound = {name.id for gen in node.generators for name in ast.walk(gen.target)
+                     if isinstance(name, ast.Name)}
+            parts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            found.update(sub.lineno for part in parts for sub in ast.walk(part)
+                         if isinstance(sub, ast.Subscript)
+                         and any(isinstance(op, ast.BinOp) and any(
+                             isinstance(name, ast.Name) and name.id in bound
+                             for name in ast.walk(op)) for op in ast.walk(sub.slice)))
+    return sorted(found)
+
+
+def test_pick_checker_sees_own_variables_not_fixed_slices():
+    source = ("a = tuple(key[s - 1] for s in slots)\n"
+              "b = [row[j + 1] for i, j in pairs]\n"
+              "c = {k: t.shape[k - 1] for k in ks}\n"
+              "d = [(key[h:], val) for key, val in items]\n"
+              "e = [key[i - 1] for key in keys]\n"
+              "f = [data[key] for key in keys]\n")
+    assert own_variable_picks(source) == [1, 2, 3]
+
+
+def test_tensor_picks_slots_only_through_slot_getters():
+    source = (Path(naryalg.__file__).parent / "tensor.py").read_text()
+    assert own_variable_picks(source) == []
