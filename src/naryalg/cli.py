@@ -58,17 +58,15 @@ def _parse_metric(spec: str | None, d: int, fallback: Metric | None) -> Metric |
     return algebra._metric_from_json(obj, d)
 
 
+# signature entry -> sign
+_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
+
+
 def _parse_signature(text: str):
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if token in ("+", "+1", "1"):
-            out.append(1)
-        elif token in ("-", "-1"):
-            out.append(-1)
-        else:
-            raise UsageError(f"bad signature entry {token!r}")
-    return out
+    try:
+        return [_SIGNS[token.strip()] for token in text.split(",")]
+    except KeyError as exc:
+        raise UsageError(f"bad signature entry {exc.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run a property suite on an algebra file")
     check.add_argument("file")
     check.add_argument("--suite", required=True,
-                       help="comma list: filippov,skew,metricity,fullanti,symmetry,"
-                            "genmetric,cyclic,triple,nple,lple,nondegenerate,all")
+                       help=f"comma list: {','.join(CHECKS)},all")
     check.add_argument("--metric", help="euclid | lorentz:p,q | metric JSON file")
     check.add_argument("--format", choices=["json", "md"], default="json")
     check.add_argument("--timings", action="store_true",

@@ -105,6 +105,8 @@ def _rank_report(columns, d: int) -> CheckReport:
             break
     if len(eb) == d:
         return CheckReport("nondegenerate", True)
+    # the witness is dense: printed in a report, it peaks near 142 bytes a coordinate
+    guard(150 * d, f"radical witness of {d} coordinates, in bytes")
     return CheckReport("nondegenerate", False,
                        witness=Coordinates(next(eb.null_vectors())),
                        residual=0, detail="radical vector coordinates")

@@ -135,6 +135,5 @@ def mat_mul(a, b):
     ]
 
 
-def zeros_matrix(n, m=None):
-    m = n if m is None else m
-    return [[0] * m for _ in range(n)]
+def zeros_matrix(n):
+    return [[0] * n for _ in range(n)]

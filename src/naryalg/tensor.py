@@ -409,10 +409,8 @@ def contract(t1, slots1, t2, slots2) -> RationalTensor:
                 acc[tail] += val * val2
         for tail, val in acc.items():
             if val:
-                if den != 1:
-                    q, r = divmod(val, den)
-                    val = Fraction(val, den) if r else q
-                out[head + tail] = val
+                q, r = divmod(val, den)
+                out[head + tail] = Fraction(val, den) if r else q
     return RationalTensor._trusted(shape, out)
 
 

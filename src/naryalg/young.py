@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
 
 from .algebra import NaryAlgebra
 from .tensor import (
@@ -24,6 +23,7 @@ from .tensor import (
     SizeGuardError,
     _acc,
     _Frozen,
+    _tuple_getter,
     antisymmetrize,
     guard,
     scale,
@@ -166,8 +166,7 @@ def _class_sums(t: RationalTensor, slots: tuple, force: bool) -> dict:
         source = list(range(t.rank))
         for j in range(l):
             source[positions[j]] = positions[perm[j]]
-        # itemgetter of one index returns the bare item; rank 1 has only the identity
-        image = itemgetter(*source) if t.rank > 1 else tuple
+        image = _tuple_getter(source)
         acc = sums.setdefault(_cycle_type(perm), {})
         for key, val in zip(map(image, t.data), t.data.values()):
             acc[key] = acc.get(key, 0) + val

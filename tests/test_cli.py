@@ -18,7 +18,7 @@ from naryalg import (
     save,
 )
 from naryalg.algebra import CheckReport, Coordinates
-from naryalg.cli import run
+from naryalg.cli import CHECKS, run
 
 from change_of_basis import perturb, perturbed_a4
 
@@ -66,6 +66,20 @@ class TestGenCheckPipeline:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         assert [c["name"] for c in report["checks"]] == ["filippov", "skew", "metricity"]
+
+    @pytest.mark.parametrize("plus, minus", [
+        (plus, minus) for plus in ("+", "+1", "1", " 1 ") for minus in ("-", "-1", " - ")])
+    def test_every_signature_entry(self, plus, minus, tmp_path):
+        paths = [tmp_path / "spelled.json", tmp_path / "plain.json"]
+        for path, signature in zip(paths, [f"{minus},{plus},{plus},{plus}", "-1,1,1,1"]):
+            assert run(["gen", "--family", "Apq", f"--signature={signature}",
+                        "-o", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_suite_help_lists_every_check_in_order(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+        assert run(["check", "--help"]) == 0
+        assert f" comma list: {','.join(CHECKS)},all\n" in capsys.readouterr().out
 
     def test_all_families_generate(self, tmp_path):
         for args in (
@@ -449,6 +463,16 @@ class TestErrorPaths:
         out = capsys.readouterr()
         assert out.err == f"naryalg: error: --suite {suite!r} names no check\n"
         assert out.out == ""
+
+    @pytest.mark.parametrize("signature, entry", [
+        ("1,,1,1", ""), ("1,x,1,1", "x"), ("1, 2 ,1,1", "2"), ("+1,1,1,--1", "--1"),
+        ("1,1,1,", ""),
+    ])
+    def test_bad_signature_entry(self, signature, entry, tmp_path, capsys):
+        out = tmp_path / "apq.json"
+        assert run(["gen", "--family", "Apq", f"--signature={signature}", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"naryalg: error: bad signature entry {entry!r}\n"
+        assert not out.exists()
 
     def test_suite_is_judged_before_the_file_is_read(self, monkeypatch, capsys):
         loads = count_calls(monkeypatch, algebra, "load")

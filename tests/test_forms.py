@@ -194,6 +194,17 @@ class TestNondegenerate:
         # the radical vector points along the central generator
         assert report.witness[4] != 0
 
+    @pytest.mark.parametrize("decide", [kasymov_nondegenerate, lambda L: nondegenerate(kasymov(L))],
+                             ids=["kasymov_nondegenerate", "nondegenerate"])
+    def test_radical_witness_is_guarded(self, decide, monkeypatch):
+        # a failing report holds a dense witness: 150 bytes for each of d = 4 coordinates
+        L = zero_algebra(4, 3)
+        monkeypatch.setenv("NARY_SIZE_GUARD", "600")
+        assert decide(L).witness == (1, 0, 0, 0)
+        monkeypatch.setenv("NARY_SIZE_GUARD", "599")
+        with pytest.raises(SizeGuardError, match="radical witness of 4 coordinates, in bytes: 600"):
+            decide(L)
+
 
 def rescaled_a5():
     """A5 in the basis e'_j = j e_j: values such as 40/3."""

@@ -100,3 +100,15 @@ def test_integral_diagonal_metric_is_written_as_diag(tmp_path):
     naryalg.save(half, path)
     assert json.loads(path.read_text())["metric"] == {"matrix": [["1/2", "0"], ["0", "1"]]}
     assert naryalg.load(path) == half
+
+
+def test_radical_witness_of_an_empty_dim_10_8_file_is_refused_before_it_is_built(tmp_path):
+    # a dense witness of 10^8 coordinates would need gigabytes; the size
+    # guard refuses it without building it, well inside the 1 GiB limit
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"name": "empty", "dim": 10 ** 8, "arity": 2, "entries": []}))
+    check = run_limited("check", str(path), "--suite", "nondegenerate")
+    assert check.returncode == 3
+    assert check.stderr == ("naryalg: size guard: radical witness of 100000000 coordinates, "
+                            "in bytes: 15000000000 exceeds size guard 300000000\n")
+    assert check.stdout == ""

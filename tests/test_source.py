@@ -354,3 +354,26 @@ def test_pick_checker_sees_own_variables_not_fixed_slices():
 def test_tensor_picks_slots_only_through_slot_getters():
     source = (Path(naryalg.__file__).parent / "tensor.py").read_text()
     assert own_variable_picks(source) == []
+
+
+# Only tensor.py builds itemgetters: every other module moves key slots
+# through tensor._tuple_getter, which returns a tuple for one position too,
+# where a bare itemgetter returns the item itself.
+def names_itemgetter(source: str) -> bool:
+    """Whether an import binds operator's itemgetter or an attribute reads it."""
+    return any((isinstance(node, ast.ImportFrom) and node.module == "operator"
+                and any(a.name == "itemgetter" for a in node.names))
+               or (isinstance(node, ast.Attribute) and node.attr == "itemgetter")
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_itemgetter_checker_sees_imports_and_attributes():
+    assert names_itemgetter("from operator import lt, itemgetter\n")
+    assert names_itemgetter("import operator\nget = operator.itemgetter(0)\n")
+    assert not names_itemgetter("from operator import lt\nfrom .tensor import _tuple_getter\n")
+
+
+def test_only_tensor_imports_itemgetter():
+    users = {module for module in MODULES + ["__init__.py"]
+             if names_itemgetter((Path(naryalg.__file__).parent / module).read_text())}
+    assert users == {"tensor.py"}
