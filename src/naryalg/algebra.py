@@ -339,12 +339,12 @@ def _swap_skew(part: dict, data: dict, i: int, rank: int) -> bool:
     return 2 * ahead == len(part)
 
 
-def _zero_report(name: str, data: dict, detail: str = "") -> CheckReport:
+def _zero_report(name: str, data: dict) -> CheckReport:
     """Passes iff data is empty, else reports its lexicographically first key."""
     if data:
         witness = min(data)
-        return CheckReport(name, False, witness, data[witness], detail)
-    return CheckReport(name, True, detail=detail)
+        return CheckReport(name, False, witness, data[witness])
+    return CheckReport(name, True)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +369,7 @@ def simple_filippov(n: int, signature) -> NaryAlgebra:
 
 
 def zero_algebra(d: int, n: int) -> NaryAlgebra:
-    return NaryAlgebra(f"zero({d},{n})", d, n, RationalTensor((d,) * (n + 1)),
-                       Metric.euclidean(d) if d else None)
+    return NaryAlgebra(f"zero({d},{n})", d, n, RationalTensor((d,) * (n + 1)), Metric.euclidean(d))
 
 
 def direct_sum(a: NaryAlgebra, b: NaryAlgebra) -> NaryAlgebra:

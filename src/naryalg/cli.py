@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__, algebra
 from .algebra import AlgebraFileError, Metric, NaryAlgebra
-from .tensor import ShapeError, SizeGuardError, parse_rational
+from .tensor import ShapeError, SizeGuardError, parse_rational, size_guard_cap
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -73,14 +73,6 @@ def _parse_signature(text: str):
 # suites
 
 
-def _any_arity(n: int) -> bool:
-    return True
-
-
-def _odd_arity(n: int) -> bool:
-    return n % 2 == 1
-
-
 def _nondegenerate(L: NaryAlgebra, metric):
     from . import forms
     return forms.kasymov_nondegenerate(L)
@@ -91,22 +83,18 @@ def _nondegenerate(L: NaryAlgebra, metric):
 # module at call time, so wrappers installed after import still see them, and
 # a module other than algebra is imported by the checks that use it.
 CHECKS = {
-    "filippov": (lambda L, m: algebra.check_filippov(L), _any_arity),
-    "skew": (lambda L, m: algebra.check_skew(L, range(1, L.n + 1)), _any_arity),
-    "metricity": (lambda L, m: algebra.check_metricity(L, m), _any_arity),
-    "fullanti": (lambda L, m: algebra.check_full_antisym_lowered(L, m), _any_arity),
-    "cyclic": (lambda L, m: algebra.check_cyclic(L), _any_arity),
-    "nple": (lambda L, m: algebra.is_lie_nple(L), _any_arity),
-    "nondegenerate": (_nondegenerate, _any_arity),
+    "filippov": (lambda L, m: algebra.check_filippov(L), lambda n: True),
+    "skew": (lambda L, m: algebra.check_skew(L, range(1, L.n + 1)), lambda n: True),
+    "metricity": (lambda L, m: algebra.check_metricity(L, m), lambda n: True),
+    "fullanti": (lambda L, m: algebra.check_full_antisym_lowered(L, m), lambda n: True),
+    "cyclic": (lambda L, m: algebra.check_cyclic(L), lambda n: True),
+    "nple": (lambda L, m: algebra.is_lie_nple(L), lambda n: True),
+    "nondegenerate": (_nondegenerate, lambda n: True),
     "symmetry": (lambda L, m: algebra.check_symmetry_property(L, m), lambda n: n >= 3),
     "triple": (lambda L, m: algebra.is_lie_triple(L), lambda n: n == 3),
-    "genmetric": (lambda L, m: algebra.check_generalized_metric_l(L, m), _odd_arity),
-    "lple": (lambda L, m: algebra.is_lie_lple(L), _odd_arity),
+    "genmetric": (lambda L, m: algebra.check_generalized_metric_l(L, m), lambda n: n % 2),
+    "lple": (lambda L, m: algebra.is_lie_lple(L), lambda n: n % 2),
 }
-
-
-def _expand_all(L: NaryAlgebra) -> list:
-    return [name for name, (_, applies) in CHECKS.items() if applies(L.n)]
 
 
 def _report(inputs: dict, checks: list, timings: dict | None) -> dict:
@@ -196,8 +184,8 @@ def _cmd_check(args) -> int:
             raise UsageError(f"unknown check {name!r}")
     L = algebra.load(args.file)
     metric = _parse_metric(args.metric, L.d, L.metric)
-    names = [each for name in requested
-             for each in (_expand_all(L) if name == "all" else [name])]
+    every = [name for name, (_, applies) in CHECKS.items() if applies(L.n)]
+    names = [each for name in requested for each in (every if name == "all" else [name])]
     timings: dict | None = {} if args.timings else None
     checks = []
     for name in names:
@@ -402,6 +390,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
+        size_guard_cap()  # a malformed cap is a usage error before any work
         return _HANDLERS[args.verb](args)
     except SizeGuardError as exc:
         print(f"naryalg: size guard: {exc}", file=sys.stderr)

@@ -180,7 +180,7 @@ def corollary_cs3(l1: NaryAlgebra, cs3: NaryAlgebra,
                   metric: Metric | None = None, prefactor=1,
                   force: bool = False) -> NaryAlgebra:
     """Construction against a CS 3-algebra; output arity equals l1's."""
-    metric = cs3.require_metric(metric) if metric is None else metric
+    metric = cs3.require_metric(metric)
     if not force:
         _require(check_cs3(cs3, metric))
         _require(check_skew(l1, range(1, l1.n)))

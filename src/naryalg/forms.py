@@ -41,14 +41,14 @@ from .tensor import (
 class TraceForm(_Record):
     """Tr(ad1_X ad2_Y) on basis tuples; first n-1 slots from L1, last m-1 from L2.
 
-    tensor is the form kept once per orbit: tensor.runs are X's runs, then
-    Y's shifted by n-1.  A form read from a file has one-slot runs, so its
-    orbits are all of its entries.
+    tensor is a built form's OrbitTensor, kept once per orbit: tensor.runs
+    are X's runs, then Y's shifted by n-1.  A form read from a file is the
+    RationalTensor of its entries.
     """
 
     __slots__ = ("arity1", "arity2", "tensor")
 
-    def __init__(self, arity1: int, arity2: int, tensor: OrbitTensor):
+    def __init__(self, arity1: int, arity2: int, tensor: RationalTensor):
         self.arity1, self.arity2, self.tensor = arity1, arity2, tensor
 
     @property
@@ -179,8 +179,7 @@ def from_json_dict(obj: dict) -> TraceForm:
             or arity1 + arity2 - 2 != slots):
         raise AlgebraFileError(f"bad arity1/arity2 ({arity1!r}, {arity2!r}) for {slots} slots")
     data = _read_entries(entries, d, slots, with_out=False)
-    return TraceForm(arity1, arity2, OrbitTensor(RationalTensor._trusted((d,) * slots, data),
-                                                 tuple((s, s) for s in range(1, slots + 1))))
+    return TraceForm(arity1, arity2, RationalTensor._trusted((d,) * slots, data))
 
 
 def save(k: TraceForm, path, name: str = "trace-form") -> None:

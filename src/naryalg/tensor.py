@@ -64,10 +64,9 @@ def size_guard_cap() -> int:
     raw = os.environ.get("NARY_SIZE_GUARD")
     if raw is None:
         return DEFAULT_SIZE_GUARD
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise SizeGuardError(f"invalid NARY_SIZE_GUARD value {raw!r}") from exc
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"NARY_SIZE_GUARD must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def guard(count, what: str) -> None:
@@ -165,8 +164,7 @@ class RationalTensor:
         self._check_key(key)
         return self.data.get(key, 0)
 
-    def __getitem__(self, key):
-        return self.get(key)
+    __getitem__ = get
 
     def __eq__(self, other):
         if not isinstance(other, RationalTensor):

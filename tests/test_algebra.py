@@ -101,6 +101,7 @@ class TestDirectSum:
         combined = direct_sum(a4, trivial)
         assert combined.f == a4.f
         assert combined.d == a4.d
+        assert combined.metric == a4.metric
 
 
 def assert_reports_are_first_residual_entries(pairs):

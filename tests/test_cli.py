@@ -92,6 +92,34 @@ class TestGenCheckPipeline:
             assert run(["gen", *args, "-o", str(out)]) == 0
             assert out.exists()
 
+    # arity -> the checks `all` runs, in order
+    SUITE_ALL = {
+        2: "filippov skew metricity fullanti cyclic nple nondegenerate",
+        3: "filippov skew metricity fullanti cyclic nple nondegenerate symmetry triple genmetric lple",
+        4: "filippov skew metricity fullanti cyclic nple nondegenerate symmetry",
+        5: "filippov skew metricity fullanti cyclic nple nondegenerate symmetry genmetric lple",
+        6: "filippov skew metricity fullanti cyclic nple nondegenerate symmetry",
+        7: "filippov skew metricity fullanti cyclic nple nondegenerate symmetry genmetric lple",
+    }
+
+    @pytest.mark.parametrize("n", SUITE_ALL)
+    def test_suite_all_by_arity(self, n, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        assert run(["gen", "--family", "zero", "--n", str(n), "--d", "2", "-o", str(path)]) == 0
+        run(["check", str(path), "--suite", "all"])
+        report = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in report["checks"]] == self.SUITE_ALL[n].split()
+
+    def test_zero_dimensional_algebra_round_trips(self, tmp_path, capsys):
+        path, out = tmp_path / "zero.json", tmp_path / "c.json"
+        assert run(["gen", "--family", "zero", "--n", "3", "--d", "0", "-o", str(path)]) == 0
+        assert read_json(path)["metric"] == {"diag": []}
+        assert run(["check", str(path), "--suite", "all"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] and len(report["checks"]) == 11
+        assert run(["compose", "--l1", str(path), "--l2", str(path), "-o", str(out)]) == 0
+        assert load(out).d == 0
+
     def test_perturbed_algebra_fails_with_witness(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         save(perturbed_a4(), path)
@@ -482,6 +510,32 @@ class TestErrorPaths:
         assert run(["check", "absent.json", "--suite", ","]) == 2
         capsys.readouterr()
         assert loads == []
+
+    @pytest.mark.parametrize("value", ["x", "-5", "1e3"])
+    @pytest.mark.parametrize("verb", ["gen", "check"])
+    def test_malformed_size_guard(self, verb, value, a4_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out.json"
+        argv = {"gen": ["gen", "--family", "A", "--n", "3", "-o", str(out)],
+                "check": ["check", str(a4_file), "--suite", "metricity", "-o", str(out)]}[verb]
+        loads = count_calls(monkeypatch, algebra, "load")
+        monkeypatch.setenv("NARY_SIZE_GUARD", value)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"naryalg: error: NARY_SIZE_GUARD must be a non-negative integer, got {value!r}\n"
+        assert captured.out == "" and loads == [] and not out.exists()
+
+    def test_well_formed_size_guard(self, a4_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "gen.json"
+        # levi_civita(4) has 4! = 24 entries
+        monkeypatch.setenv("NARY_SIZE_GUARD", "23")
+        assert run(["gen", "--family", "A", "--n", "3", "-o", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "naryalg: size guard: levi_civita(4): 24 exceeds size guard 23\n"
+        assert not out.exists()
+        monkeypatch.setenv("NARY_SIZE_GUARD", "24")
+        assert run(["gen", "--family", "A", "--n", "3", "-o", str(out)]) == 0
+        assert out.read_bytes() == a4_file.read_bytes()
 
     def test_young_dim_negative_d(self, capsys):
         assert run(["young", "dim", "--l", "3", "--r", "1", "--d", "-2"]) == 2

@@ -246,6 +246,13 @@ class TestCorollaries:
         # metric 3-Lie second factor forces vanishing full antisymmetrization
         assert is_zero(full_antisymmetrization(out))
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_cs3_wrong_metric_dimension(self, a8, a4_sum_a4, force, monkeypatch):
+        # refused by the metric's own check, before any precondition runs
+        monkeypatch.setattr(construct, "check_cs3", lambda *a: pytest.fail("checked a precondition"))
+        with pytest.raises(ShapeError, match=r"^metric dim 4 != algebra dim 8$"):
+            corollary_cs3(a8, a4_sum_a4, Metric.euclidean(4), force=force)
+
     def test_cs3_rejects_bad_second_factor(self, a5):
         with pytest.raises(ConstructionError):
             corollary_cs3(a5, non_metric_3leibniz(5))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,31 @@ class TestTraceFormIO:
         loaded = forms.load(path)
         assert loaded.tensor == k.tensor
         assert (loaded.arity1, loaded.arity2) == (k.arity1, k.arity2)
+
+    def test_loaded_data_is_the_dict_read(self, tmp_path, a5):
+        path = tmp_path / "k.json"
+        forms.save(kasymov(a5), path)
+        loaded = forms.load(path)
+        assert loaded.tensor.nnz == 360
+        tracemalloc.start()
+        try:
+            data = loaded.tensor.data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a second dict of 360 keys would take tens of kilobytes
+        assert peak < 2000
+        assert data is loaded.tensor.data and len(data) == 360
+
+    @pytest.mark.parametrize("make", [
+        lambda: builtin("A4"), lambda: builtin("A5"), lambda: builtin("A6"),
+        lambda: zero_algebra(3, 3), perturbed_a4,
+    ], ids=["A4", "A5", "A6", "zero(3,3)", "perturbed-A4"])
+    def test_loaded_form_decides_like_the_built_one(self, make, tmp_path):
+        k = kasymov(make())
+        path = tmp_path / "k.json"
+        forms.save(k, path)
+        assert nondegenerate(forms.load(path)).as_dict() == nondegenerate(k).as_dict()
 
     @pytest.mark.parametrize("entry", [
         {"val": "1"},

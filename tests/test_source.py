@@ -1,6 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and every source file parses as the oldest supported Python.
 
-`__init__` is exempt because its imports are the package's exports.
+`__init__` is exempt from the import check because its imports are the
+package's exports.
 """
 
 import ast
@@ -10,6 +12,8 @@ import pytest
 
 import naryalg
 
+SOURCES = sorted([*Path(naryalg.__file__).parent.glob("*.py"),
+                  *Path(__file__).parent.glob("*.py")])
 MODULES = sorted(p.name for p in Path(naryalg.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 
@@ -36,6 +40,12 @@ def test_checker_sees_attribute_use_and_aliases():
 def test_no_unused_imports(module):
     source = (Path(naryalg.__file__).parent / module).read_text()
     assert unused_imports(source) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_parses_as_python_3_10(path):
+    # pyproject.toml allows Python >= 3.10
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 # Grouping all of f by its first n-1 slots costs the most memory of any
